@@ -2,9 +2,11 @@
 oracle cross-checks, and the scaling benchmark.
 
 Exit codes: 0 success, 2 usage, 3 parse error, 4 precondition violation,
-5 oracle mismatch.  Output is byte-stable for a fixed input and seed:
-plain text prints one block per line (space-separated vertex ids), --json
-prints the canonical JSON forms.
+5 oracle mismatch, 6 internal error (an assertion or the recursion limit
+failed inside twinscc; reported as one line, never as a traceback).
+Output is byte-stable for a fixed input and seed: plain text prints one
+block per line (space-separated vertex ids), --json prints the canonical
+JSON forms.
 """
 
 from __future__ import annotations
@@ -268,6 +270,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (PreconditionError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except (RecursionError, AssertionError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 6
 
 
 def _dispatch(args) -> int:

@@ -3,14 +3,18 @@
 The tree is built by recursive split decomposition (parallel bundles and
 separation pairs) followed by merging of adjacent same-kind S/P nodes into
 canonical form.  Construction is correctness-first: split-pair search is
-quadratic per node, which is fine because the pipeline only builds SPQR
-trees for biconnected blocks that actually contain marked vertices.
-
+quadratic per node and the recursion depth grows with the number of
+splits, so it serves the ``spqr`` command and API on small graphs only.
 A vertex-edge cut-pair (v, e) always shows up as an S-node whose skeleton
-contains v and the real edge e at distance >= 1 from v; the marked
-vertex-edge blocks are read off by splitting every marked vertex in such
-S-nodes, deleting their real edges, and grouping the ordinary vertices of
-the resulting tree fragments.
+contains v and the real edge e at distance >= 1 from v
+(``vertex_edge_cut_pairs``).
+
+``marked_veb`` does not build SPQR trees.  It has one exact path: per
+biconnected block B holding marked vertices, the unmarked vertices of B are
+refined by the 2-edge-connected components of B - v for every marked v in
+B, which is the definition restricted to one block.  The cost is
+O(sum over B of m_B * |M_B|), with M_B the marked vertices of B, and no
+step recurses.
 """
 
 from __future__ import annotations
@@ -192,108 +196,19 @@ def spqr(g: UGraph) -> SpqrTree:
     return SpqrTree(tuple(nodes), tuple(sorted(links)))
 
 
-def _spqr_groups(tree: SpqrTree, marked: frozenset[int]) -> list[set[int]]:
-    """Groups of unmarked vertices per Algorithm: in every S-node containing
-    a marked vertex and a real edge, split the marked vertices and delete
-    the real edges; collect vertices per resulting tree fragment."""
-    point: dict[tuple[int, int, int], int] = {}  # (node, slot, vertex) -> id
-
-    def pid_of(node: int, slot: int, vertex: int) -> int:
-        key = (node, slot, vertex)
-        if key not in point:
-            point[key] = len(point)
-        return point[key]
-
-    parent: list[int] = []
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    def touch(node: int, slot: int, vertex: int) -> int:
-        i = pid_of(node, slot, vertex)
-        while len(parent) <= i:
-            parent.append(len(parent))
-        return i
-
-    pair_slots: dict[int, list[tuple[int, int, int, int]]] = {}
-    for ni, node in enumerate(tree.nodes):
-        processed = (
-            node.kind == "S"
-            and any(tag[0] == "real" for _, _, tag in node.edges)
-            and any(v in marked for v in node.vertices())
-        )
-        by_vertex: dict[int, list[int]] = {}
-        for si, (u, v, tag) in enumerate(node.edges):
-            pu = touch(ni, si, u)
-            pv = touch(ni, si, v)
-            if tag[0] == "virtual":
-                pair_slots.setdefault(tag[1], []).append((ni, si, u, v))
-            if not processed or tag[0] == "virtual":
-                union(pu, pv)  # the edge survives
-            for w, p in ((u, pu), (v, pv)):
-                if processed and w in marked:
-                    continue  # split vertex: incident slots stay apart
-                by_vertex.setdefault(w, []).append(p)
-        for pts in by_vertex.values():
-            for p in pts[1:]:
-                union(pts[0], p)
-
-    for slots in pair_slots.values():
-        if len(slots) != 2:
-            continue
-        (na, sa, ua, va), (nb, sb, _, _) = slots
-        union(touch(na, sa, ua), touch(nb, sb, ua))
-        union(touch(na, sa, va), touch(nb, sb, va))
-
-    vertex_root: dict[int, int] = {}
-    groups: dict[int, set[int]] = {}
-    for (ni, si, v), idx in point.items():
-        if v in marked:
-            continue
-        root = find(idx)
-        prev = vertex_root.setdefault(v, root)
-        if prev != root:
-            raise AssertionError(f"occurrences of unmarked vertex {v} fell apart")
-        groups.setdefault(root, set()).add(v)
-    return [groups[r] for r in sorted(groups, key=lambda r: min(groups[r]))]
-
-
-_SPQR_EDGE_LIMIT = 2000
-
-
-def _block_groups_by_bridges(sub: UGraph, marked: frozenset[int]) -> list[set[int]]:
-    """Groups of unmarked vertices of one biconnected block, by refining
-    over the bridge-free components of sub minus v per marked v.  The
-    cut-pair candidate filter prunes marked vertices that provably admit no
-    vertex-edge cut pair, so dense blocks cost a single filter pass."""
-    from .cutfilter import cut_pair_vertex_candidates
-
-    candidates = cut_pair_vertex_candidates(sub) & marked
-    ordinary = [v for v in range(sub.n) if v not in marked]
-    part = Partition([ordinary]) if ordinary else Partition([])
-    for v in sorted(candidates):
-        rest = UGraph(sub.n, [e for e in sub.edges if v not in e])
-        _, blocks = bridges_2ecc(rest)
-        part = part.refine(blocks.restricted(ordinary))
-    return [set(b) for b in part]
-
-
 def marked_veb(g: UGraph, marked: Iterable[int]) -> Partition:
     """Marked vertex-edge blocks: the partition of the unmarked vertices in
     which u, w share a block iff they stay connected in g minus {v, e} for
     every marked vertex v and every edge e.
 
     Marked vertices must not be articulation points of their component.
-    Large graphs take the per-marked-vertex bridge path; the SPQR path is
-    the primary algorithm below the threshold (both are cross-checked).
+    Blocks without marked vertices keep their unmarked vertices together.
+    In every other biconnected block B, u and w are separated by some
+    (v, e) iff e is a bridge of B - v between them, so the unmarked
+    vertices of B are refined by the 2-edge-connected components of B - v
+    for each marked v in B; the pieces are glued across blocks at the
+    (unmarked) articulation points.  Cost O(sum over B of m_B * |M_B|),
+    with M_B the marked vertices of B.
     """
     marked_set = frozenset(int(v) for v in marked)
     for v in marked_set:
@@ -320,21 +235,21 @@ def marked_veb(g: UGraph, marked: Iterable[int]) -> Partition:
     for blk in bf.blocks:
         verts = sorted({v for eid in blk for v in g.edges[eid]})
         unmarked = [v for v in verts if v not in marked_set]
-        if len(verts) <= 2 or not (marked_set & set(verts)):
+        if len(unmarked) == len(verts):
             for v in unmarked[1:]:
                 union(unmarked[0], v)
             continue
         local = {v: i for i, v in enumerate(verts)}
-        sub = UGraph(len(verts), [(local[g.edges[e][0]], local[g.edges[e][1]]) for e in blk])
-        local_marked = frozenset(local[v] for v in verts if v in marked_set)
-        if len(blk) > _SPQR_EDGE_LIMIT:
-            groups = _block_groups_by_bridges(sub, local_marked)
-        else:
-            groups = _spqr_groups(spqr(sub), local_marked)
-        for group in groups:
-            members = sorted(verts[i] for i in group)
-            for v in members[1:]:
-                union(members[0], v)
+        edges = [(local[g.edges[e][0]], local[g.edges[e][1]]) for e in blk]
+        ordinary = [local[v] for v in unmarked]
+        part = Partition.trivial(ordinary)
+        for lv, v in enumerate(verts):
+            if v in marked_set:
+                rest = UGraph._trusted(len(verts), tuple(e for e in edges if lv not in e))
+                part = part.refine(bridges_2ecc(rest)[1].restricted(ordinary))
+        for group in part:
+            for i in group[1:]:
+                union(verts[group[0]], verts[i])
 
     labels = {v: find(v) for v in range(g.n) if v not in marked_set}
     return Partition.from_labels(labels)

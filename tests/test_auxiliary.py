@@ -19,7 +19,7 @@ from twinscc.auxiliary import (
 from twinscc import oracles
 from twinscc.oracles import _reach, _scc_sets
 
-from conftest import bik3, cyc3, diamond_with_return, two_triangles
+from named_graphs import bik3, cyc3, diamond_with_return, two_triangles
 
 
 def _by_root(graphs):

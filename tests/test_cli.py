@@ -90,6 +90,19 @@ def test_oracle_mismatch_exit_5(capsys, cyc3_file, monkeypatch):
     assert code == 5 and "oracle mismatch" in err
 
 
+@pytest.mark.parametrize("exc", [RecursionError, AssertionError])
+def test_internal_error_exit_6(capsys, tri_undirected_file, monkeypatch, exc):
+    from twinscc import cli as climod
+
+    def boom(g):
+        raise exc("deep inside")
+
+    monkeypatch.setattr(climod, "spqr", boom)
+    code, out, err = _run(capsys, "spqr", "--in", tri_undirected_file)
+    assert code == 6 and out == ""
+    assert err == f"internal error: {exc.__name__}: deep inside\n"
+
+
 def test_dominators_output(capsys, cyc3_file):
     code, out, _ = _run(capsys, "dominators", "--in", cyc3_file, "--source", "0")
     assert code == 0

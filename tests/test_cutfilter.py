@@ -1,12 +1,10 @@
 """The cut-pair candidate filter must flag every vertex whose removal
-creates a bridge, and the over-threshold mveb path must match the SPQR
-path and the oracle."""
+creates a bridge."""
 
 from __future__ import annotations
 
 from twinscc.graph import UGraph
 from twinscc.cutfilter import cut_pair_vertex_candidates
-from twinscc.spqr import _block_groups_by_bridges, _spqr_groups, marked_veb, spqr
 from twinscc.undirected import bridges_2ecc
 from twinscc import oracles
 
@@ -70,36 +68,3 @@ def test_filter_is_selective_on_dense_graphs(rng):
     g = oracles.gen_biconnected(n, 5 * n, rng)
     have = cut_pair_vertex_candidates(g)
     assert len(have) < n // 4
-
-
-def test_bridge_path_groups_match_spqr_groups(rng):
-    for _ in range(200):
-        n = rng.randrange(3, 11)
-        g = oracles.gen_biconnected(n, n + rng.randrange(0, 2 * n), rng)
-        arts = set(oracles.oracle_articulation_points(g))
-        candidates = [v for v in range(n) if v not in arts]
-        rng.shuffle(candidates)
-        marked = frozenset(candidates[: rng.randrange(0, max(1, n // 2))])
-        if not marked:
-            continue
-        a = sorted(sorted(grp) for grp in _block_groups_by_bridges(g, marked))
-        b = sorted(sorted(grp) for grp in _spqr_groups(spqr(g), marked))
-        assert a == b, (g.edges, sorted(marked))
-
-
-def test_marked_veb_forced_bridge_path_vs_oracle(rng, monkeypatch):
-    import importlib
-
-    spqr_mod = importlib.import_module("twinscc.spqr")
-    monkeypatch.setattr(spqr_mod, "_SPQR_EDGE_LIMIT", 0)
-    for _ in range(150):
-        n = rng.randrange(3, 11)
-        g = oracles.gen_biconnected(n, n + rng.randrange(0, 2 * n), rng)
-        arts = set(oracles.oracle_articulation_points(g))
-        candidates = [v for v in range(n) if v not in arts]
-        rng.shuffle(candidates)
-        marked = candidates[: rng.randrange(0, max(1, n // 2))]
-        assert marked_veb(g, marked) == oracles.oracle_mveb(g, marked), (
-            g.edges,
-            marked,
-        )

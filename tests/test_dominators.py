@@ -8,7 +8,7 @@ from twinscc.graph import DiGraph, PreconditionError
 from twinscc.dominators import dominator_tree, flow_bridges, strong_bridges
 from twinscc import oracles
 
-from conftest import bik2, bik3, cyc3, diamond_with_return
+from named_graphs import bik2, bik3, cyc3, diamond_with_return
 
 
 def test_path_idoms():

@@ -19,7 +19,7 @@ from twinscc.graph import (
     underlying,
 )
 
-from conftest import bik2, cyc3
+from named_graphs import bik2, cyc3
 
 
 def test_digraph_rejects_out_of_range():

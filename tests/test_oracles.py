@@ -7,7 +7,7 @@ import pytest
 from twinscc.graph import DiGraph, GraphError, MixedGraph, Partition, UGraph
 from twinscc import oracles
 
-from conftest import bik2, bik3, cyc3
+from named_graphs import bik2, bik3, cyc3
 
 
 def test_oracle_2etscc_examples():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from twinscc.graph import GraphError, MixedGraph, Partition, refines
@@ -11,7 +13,7 @@ from twinscc.orientation import (
     split_and_twin,
     strongly_orientable_blocks,
 )
-from twinscc.pipeline import two_escc
+from twinscc.pipeline import two_escc, two_etscc_baseline
 from twinscc.strong import scc
 from twinscc import oracles
 
@@ -148,3 +150,12 @@ def test_blocks_partition_all_vertices(rng):
         g = oracles.gen_mixed(n, rng.randrange(0, 6), rng.randrange(0, 6), rng)
         for part in (strongly_orientable_blocks(g), edge_resilient_blocks(g)):
             assert sorted(v for b in part for v in b) == list(range(n))
+
+
+def test_edge_resilient_mid_size_vs_baseline():
+    # 500 edges: the gadget reduction makes biconnected blocks of a few
+    # hundred edges that hold many marked vertices
+    g = oracles.gen_mixed(125, 250, 250, random.Random(1))
+    red = split_and_gadget(g)
+    want = red.ordinary_restriction(two_etscc_baseline(red.graph))
+    assert edge_resilient_blocks(g, "both") == want

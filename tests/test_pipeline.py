@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import random
+import time
 
 import pytest
 
@@ -16,7 +18,7 @@ from twinscc.pipeline import (
 )
 from twinscc import oracles
 
-from conftest import bik2, bik3, cyc3, two_triangles
+from named_graphs import bik2, bik3, cyc3, two_triangles
 from test_strong import et_gap_fixture
 
 
@@ -166,3 +168,15 @@ def test_two_etscc_output_is_partition_of_all_vertices(rng):
         g = oracles.gen_digraph(n, m, rng)
         p = two_etscc(g)
         assert sorted(v for b in p for v in b) == list(range(n))
+
+
+def test_two_etscc_bridgey_mid_size_vs_baseline():
+    # m = 1024 on the bridgey model: many TSCCs and strong bridges, so most
+    # of the time goes to marked_veb on blocks of up to a few hundred edges
+    g = oracles.gen_digraph(256, 1024, random.Random(1), "bridgey")
+    t = time.perf_counter()
+    got = two_etscc(g)
+    seconds = time.perf_counter() - t
+    assert got == two_etscc_baseline(g)
+    # about 0.1 s on a 2-core machine; a super-linear marked_veb takes minutes
+    assert seconds < 20, f"two_etscc took {seconds:.1f} s at m = 1024"

@@ -9,7 +9,7 @@ from twinscc.spqr import marked_veb, spqr, vertex_edge_cut_pairs
 from twinscc import oracles
 from twinscc.oracles import _components
 
-from conftest import c4_ugraph, k4_ugraph
+from named_graphs import c4_ugraph, k4_ugraph
 
 
 def test_spqr_c4_single_s_node():
@@ -167,3 +167,14 @@ def test_mveb_parallel_edges_kept(rng):
         if set(marked) & arts:
             continue
         assert marked_veb(g, marked) == oracles.oracle_mveb(g, marked)
+
+
+def test_mveb_long_ladder_vs_oracle():
+    # one block of 898 edges made of 299 stacked 4-cycles (two 300-vertex
+    # paths joined by rungs): a route that recursed once per separation
+    # pair would pass the recursion limit
+    k = 300
+    rails = [(i, i + 1) for i in range(k - 1)] + [(k + i, k + i + 1) for i in range(k - 1)]
+    g = UGraph(2 * k, rails + [(i, k + i) for i in range(k)])
+    marked = [0, 150, 375, 599]
+    assert marked_veb(g, marked) == oracles.oracle_mveb(g, marked)

@@ -6,7 +6,7 @@ from twinscc.graph import DiGraph, Partition, refines
 from twinscc.strong import scc, tscc, twinless_strong_bridges
 from twinscc import oracles
 
-from conftest import bik2, bik3, cyc3, diamond_with_return
+from named_graphs import bik2, bik3, cyc3, diamond_with_return
 
 
 def test_scc_examples():

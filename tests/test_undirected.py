@@ -16,7 +16,7 @@ from twinscc.undirected import (
 )
 from twinscc import oracles
 
-from conftest import c4_ugraph, k4_ugraph, shared_triangles_ugraph
+from named_graphs import c4_ugraph, k4_ugraph, shared_triangles_ugraph
 
 
 def test_triangle_no_bridges():
