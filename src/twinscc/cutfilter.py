@@ -2,8 +2,9 @@
 
 ``cut_pair_vertex_candidates(g)`` returns a superset of the vertices v for
 which g minus v has a bridge (equivalently: v belongs to some vertex-edge
-cut-pair).  The per-marked-vertex path of ``marked_veb`` only runs its
-bridge pass for flagged vertices, which keeps dense random inputs linear.
+cut-pair).  It is on no computation path: ``marked_veb`` reads vertex-edge
+cut pairs off SPQR S-nodes.  The module is kept for its soundness tests
+and because the benchmark tracer still counts its calls.
 
 Soundness sketch (g biconnected, DFS tree fixed; back edge (d, a) has the
 descendant first; cov(t) are the back edges whose tree path passes tree
@@ -23,7 +24,7 @@ edge t = (p, x)):
   flagged outright.
 
 The filter is validated empirically against per-vertex bridge inspection
-by the test suite; a flagged vertex merely costs one exact bridge pass.
+by the test suite.
 """
 
 from __future__ import annotations

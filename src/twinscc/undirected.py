@@ -158,9 +158,6 @@ class BlockForest:
     articulation: tuple[int, ...]
     vertex_blocks: tuple[tuple[int, ...], ...]  # block ids containing each vertex
 
-    def blocks_of(self, v: int) -> tuple[int, ...]:
-        return self.vertex_blocks[v]
-
 
 def biconnected(g: UGraph) -> BlockForest:
     """Standard block decomposition; a self-loop belongs to no block."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from twinscc.cli import main
@@ -126,6 +128,27 @@ def test_cactus_and_spqr(capsys, tri_undirected_file):
     assert code == 0
     code, out, _ = _run(capsys, "spqr", "--in", tri_undirected_file)
     assert code == 0 and out == "S vertices=3 edges=3\n"
+
+
+def test_spqr_cli_300_rung_ladder(capsys, tmp_path):
+    # 600 vertices, 898 edges: a builder that recursed once per split ran
+    # for minutes here and then passed the recursion limit (exit 6)
+    k = 300
+    edges = [(i, i + 1) for i in range(k - 1)] + [(k + i, k + i + 1) for i in range(k - 1)]
+    edges += [(i, k + i) for i in range(k)]
+    p = tmp_path / "ladder.g"
+    p.write_text(f"{2 * k} {len(edges)}\n" + "".join(f"U {a} {b}\n" for a, b in edges))
+    t = time.perf_counter()
+    code, out, err = _run(capsys, "spqr", "--in", str(p))
+    seconds = time.perf_counter() - t
+    assert code == 0 and err == ""
+    assert seconds < 10, f"twinscc spqr took {seconds:.1f} s on the 300-rung ladder"
+    lines = out.splitlines()
+    # the end squares hold three real edges, the inner ones two; each inner
+    # rung is a P-node of one real and two virtual edges
+    assert lines.count("S vertices=4 edges=4") == k - 1
+    assert lines.count("P vertices=2 edges=3") == k - 2
+    assert len(lines) == 2 * k - 3
 
 
 def test_mveb_cli(capsys, tmp_path):

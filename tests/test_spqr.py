@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
+import random
+import sys
+import time
+
 import pytest
 
+from twinscc import pipeline, spqr as spqr_module
 from twinscc.graph import Partition, PreconditionError, UGraph
 from twinscc.spqr import marked_veb, spqr, vertex_edge_cut_pairs
+from twinscc.undirected import biconnected
 from twinscc import oracles
 from twinscc.oracles import _components
+
+from mveb_reference import marked_veb_per_vertex
 
 from named_graphs import c4_ugraph, k4_ugraph
 
@@ -169,12 +179,159 @@ def test_mveb_parallel_edges_kept(rng):
         assert marked_veb(g, marked) == oracles.oracle_mveb(g, marked)
 
 
+def _ladder(k: int) -> UGraph:
+    # two k-vertex paths (top rail 0..k-1, bottom rail k..2k-1) joined by k rungs
+    rails = [(i, i + 1) for i in range(k - 1)] + [(k + i, k + i + 1) for i in range(k - 1)]
+    return UGraph(2 * k, rails + [(i, k + i) for i in range(k)])
+
+
 def test_mveb_long_ladder_vs_oracle():
     # one block of 898 edges made of 299 stacked 4-cycles (two 300-vertex
     # paths joined by rungs): a route that recursed once per separation
     # pair would pass the recursion limit
-    k = 300
-    rails = [(i, i + 1) for i in range(k - 1)] + [(k + i, k + i + 1) for i in range(k - 1)]
-    g = UGraph(2 * k, rails + [(i, k + i) for i in range(k)])
+    g = _ladder(300)
     marked = [0, 150, 375, 599]
     assert marked_veb(g, marked) == oracles.oracle_mveb(g, marked)
+
+
+def test_mveb_ladder_every_other_top_vertex_vs_reference():
+    # one block with many marked vertices: every 4-cycle of the ladder is an
+    # S-node, and each holds a marked vertex
+    k = 300
+    g = _ladder(k)
+    marked = list(range(1, k - 1, 2))
+    assert marked_veb(g, marked) == marked_veb_per_vertex(g, marked)
+
+
+def test_mveb_ladder_2000_rungs_within_budget():
+    # 5,998 edges and 999 marked vertices in one block: a bridge pass per
+    # marked vertex takes about 28 s here, the S-node reading well under 1 s
+    k = 2000
+    g = _ladder(k)
+    marked = list(range(1, k - 1, 2))
+    assert g.m == 5998 and len(marked) == 999
+    t = time.perf_counter()
+    part = marked_veb(g, marked)
+    seconds = time.perf_counter() - t
+    assert seconds < 5, f"marked_veb took {seconds:.1f} s on the 2,000-rung ladder"
+    # as on small ladders (checked against the reference): each even top
+    # vertex 2 <= i <= k - 4 pairs with its rung partner, the last square
+    # stays whole, and every other unmarked vertex is alone
+    assert len(part) == k
+    assert (4, k + 4) in part.blocks
+    assert (k - 2, k - 1, 2 * k - 2, 2 * k - 1) in part.blocks
+
+
+def _gen_block(rng: random.Random, m_target: int) -> UGraph:
+    """Random biconnected multigraph grown from a bond by subdividing edges,
+    doubling edges, replacing edges by K4 minus an edge, and adding chords,
+    so its SPQR tree has many S-, P- and R-nodes."""
+    n, edges = 2, [(0, 1), (0, 1)]
+    while len(edges) < m_target:
+        i = rng.randrange(len(edges))
+        a, b = edges[i]
+        r = rng.random()
+        if r < 0.45:
+            edges[i] = (a, n)
+            edges.append((n, b))
+            n += 1
+        elif r < 0.6:
+            edges.append((a, b))
+        elif r < 0.8:
+            c, d = n, n + 1
+            n += 2
+            edges[i] = (a, c)
+            edges += [(a, d), (c, d), (c, b), (d, b)]
+        else:
+            x, y = rng.randrange(n), rng.randrange(n)
+            if x != y:
+                edges.append((x, y))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[a], perm[b]) for a, b in edges]
+    rng.shuffle(edges)
+    return UGraph(n, edges)
+
+
+def test_mveb_mid_size_vs_reference():
+    # 10^2 to 10^3 edges, one or several blocks, random marked sets
+    rng = random.Random(4)
+    for trial in range(30):
+        m_target = rng.randrange(100, 1001)
+        if trial % 3 == 2:
+            # three blocks chained at shared vertices
+            edges: list[tuple[int, int]] = []
+            n = 0
+            for _ in range(3):
+                piece = _gen_block(rng, m_target // 3)
+                glue = rng.randrange(n) if n else None
+                ids = [n + v for v in range(piece.n)]
+                if glue is not None:
+                    ids[0] = glue
+                edges += [(ids[a], ids[b]) for a, b in piece.edges]
+                n += piece.n
+            g = UGraph(n, edges)
+        else:
+            g = _gen_block(rng, m_target)
+        arts = set(biconnected(g).articulation)
+        candidates = [v for v in range(g.n) if v not in arts]
+        rng.shuffle(candidates)
+        marked = candidates[: rng.randrange(len(candidates) // 3 + 1)]
+        assert marked_veb(g, marked) == marked_veb_per_vertex(g, marked), (trial, g.m)
+
+
+def test_mveb_bridgey_pipeline_calls_vs_reference(monkeypatch):
+    # the graphs partition_strong_bridges hands to marked_veb on bridgey
+    calls: list[tuple[UGraph, list[int]]] = []
+
+    def recording(g, marked):
+        calls.append((g, list(marked)))
+        return marked_veb(g, marked)
+
+    monkeypatch.setattr(pipeline, "marked_veb", recording)
+    pipeline.two_etscc(oracles.gen_digraph(256, 1024, random.Random(1), "bridgey"))
+    assert any(marked for _, marked in calls)
+    for g, marked in calls:
+        assert marked_veb(g, marked) == marked_veb_per_vertex(g, marked), (g.m, marked)
+
+
+def test_spqr_long_cycle_stays_iterative():
+    n = 100_000
+    g = UGraph(n, [(i, (i + 1) % n) for i in range(n)])
+    limit = sys.getrecursionlimit()
+    tree = spqr(g)
+    assert sys.getrecursionlimit() == limit
+    assert [nd.kind for nd in tree.nodes] == ["S"] and len(tree.nodes[0].edges) == n
+
+
+def test_spqr_module_has_no_recursive_function():
+    tree = ast.parse(inspect.getsource(spqr_module))
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            called = {
+                c.func.id
+                for c in ast.walk(fn)
+                if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
+            }
+            assert fn.name not in called, fn.name
+
+
+def test_spqr_node_order_ignores_pair_ids():
+    # nodes sort by kind, then by their edges with virtual-pair ids left
+    # out; pair ids are numbered by first appearance in that order.  Here
+    # a bond at {0, 1} holds two cycles; with the ids in the key, the
+    # 4-cycle could come first
+    g = UGraph(5, [(0, 3), (4, 2), (0, 4), (1, 0), (1, 3), (2, 1)])
+    tree = spqr(g)
+    assert [(nd.kind, len(nd.edges)) for nd in tree.nodes] == [("P", 3), ("S", 3), ("S", 4)]
+    keys = [
+        (nd.kind, tuple((u, v, t[0], t[1] if t[0] == "real" else -1) for u, v, t in nd.edges))
+        for nd in tree.nodes
+    ]
+    assert keys == sorted(keys)
+    seen = []
+    for nd in tree.nodes:
+        for _, _, (tk, tid) in nd.edges:
+            if tk == "virtual" and tid not in seen:
+                seen.append(tid)
+    assert seen == list(range(len(seen)))
