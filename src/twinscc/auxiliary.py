@@ -20,8 +20,8 @@ only a known set X_e of non-oo vertices as singleton SCCs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Optional
 
 from .graph import DiGraph, GraphError, PreconditionError
 from .dominators import _strongly_connected, flow_bridges, strong_bridges
@@ -34,21 +34,16 @@ KIND_TILDE = "tilde_H_rr"
 KIND_S_SR = "S(H_sr)"
 KIND_S_RR = "S(H_rr')"
 
-Origin = Union[int, tuple[str, int]]
-
 
 @dataclass(frozen=True)
 class AuxGraph:
-    """An auxiliary graph with role and origin metadata.
+    """An auxiliary graph with role metadata.
 
     ``vertices`` and ``edges`` use the ids of the graph the family was built
     from.  ``ordinary1``/``ordinary2`` hold the vertices that are ordinary
     at the first/second derivation level (``ordinary2`` is empty for
     first-level graphs); ``attached`` holds S-operation attachment vertices.
     ``oo`` is the set the member contributes to the output partitions.
-    ``origin`` maps every auxiliary vertex to what it represents: the root
-    z of a contracted subtree, or ("outside", r) for the contracted
-    remainder of the tree.
     """
 
     kind: str
@@ -61,7 +56,6 @@ class AuxGraph:
     attached: frozenset[int]
     oo: frozenset[int]
     critical_edge: Optional[tuple[int, int]]
-    origin: dict[int, Origin] = field(default_factory=dict)
 
     def digraph(self) -> tuple[DiGraph, dict[int, int], tuple[int, ...]]:
         """Dense relabelling: (graph, orig->local, local->orig)."""
@@ -139,19 +133,17 @@ def build_first_level(g: DiGraph, s: int, _bd=None) -> list[AuxGraph]:
             emit(cy[0], x, y)
         emit(top, x if not cx else cx[-1], y if not cy else cy[-1])
 
+    children: dict[int, list[int]] = {r: [] for r in roots}
+    for z, r in parent_root.items():
+        children[r].append(z)
     out = []
     for r in roots:
         ordinary = frozenset(bd.subtrees[r])
         verts = set(bd.subtrees[r])
-        origin: dict[int, Origin] = {}
-        for z in roots:
-            if z != s and parent_root[z] == r:
-                verts.add(z)
-                origin[z] = z
+        verts.update(children[r])
         crit = None
         if r != s:
             verts.add(idom[r])
-            origin[idom[r]] = ("outside", r)
             crit = (idom[r], r)
         edges = []
         for (u, v), c in counts[r].items():
@@ -169,7 +161,6 @@ def build_first_level(g: DiGraph, s: int, _bd=None) -> list[AuxGraph]:
                 attached=frozenset(),
                 oo=ordinary,
                 critical_edge=crit,
-                origin=origin,
             )
         )
     return out
@@ -228,11 +219,6 @@ def _second_level(h1: AuxGraph) -> list[AuxGraph]:
         verts = tuple(back[i] for i in h2.vertices)
         edges = [(back[u], back[v]) for u, v in h2.edges]
         ordinary2 = frozenset(back[i] for i in h2.ordinary1)
-        origin = dict(h1.origin)
-        for v_loc, what in h2.origin.items():
-            v = back[v_loc]
-            if v not in origin:
-                origin[v] = ("outside", back[what[1]]) if isinstance(what, tuple) else back[what]
         r2 = back[h2.r]
         if r2 == h1.r:
             if h1.critical_edge is None:
@@ -248,7 +234,6 @@ def _second_level(h1: AuxGraph) -> list[AuxGraph]:
                         attached=frozenset(),
                         oo=h1.ordinary1 & ordinary2,
                         critical_edge=None,
-                        origin={v: o for v, o in origin.items() if v in verts},
                     )
                 )
                 continue
@@ -260,7 +245,7 @@ def _second_level(h1: AuxGraph) -> list[AuxGraph]:
             if len(targets) == 1:
                 (tgt,) = targets
                 if tgt in ordinary2 and tgt not in h1.ordinary1:
-                    out.append(_tilde(h1, verts, edges, ordinary2, origin))
+                    out.append(_tilde(h1, verts, edges, ordinary2))
                     continue
             out.append(
                 AuxGraph(
@@ -274,7 +259,6 @@ def _second_level(h1: AuxGraph) -> list[AuxGraph]:
                     attached=frozenset(),
                     oo=h1.ordinary1 & ordinary2,
                     critical_edge=None,
-                    origin={v: o for v, o in origin.items() if v in verts},
                 )
             )
         else:
@@ -310,7 +294,6 @@ def _second_level(h1: AuxGraph) -> list[AuxGraph]:
                         attached=attached,
                         oo=oo,
                         critical_edge=crit,
-                        origin={v: o for v, o in origin.items() if v in vset},
                     )
                 )
     return out
@@ -321,7 +304,6 @@ def _tilde(
     verts: tuple[int, ...],
     edges: list[tuple[int, int]],
     ordinary2: frozenset[int],
-    origin: dict[int, Origin],
 ) -> AuxGraph:
     """H_rr with the critical vertex of H_r removed.
 
@@ -364,7 +346,6 @@ def _tilde(
         attached=frozenset(),
         oo=h1.ordinary1 & ordinary2 - {dcrit},
         critical_edge=None,
-        origin={v: o for v, o in origin.items() if v in new_verts},
     )
 
 
@@ -386,7 +367,6 @@ def build_final_family(g: DiGraph, s: int, _bd=None) -> list[AuxGraph]:
                 attached=frozenset(),
                 oo=frozenset({0}),
                 critical_edge=None,
-                origin={},
             )
         ]
     members: list[AuxGraph] = []

@@ -9,7 +9,9 @@ simulates deleting {x, y}; any traversal of the gadget that avoids the
 critical edge must use the twin pair (x,z),(z,x), which ties orientations
 of {x, y} to twinless connectivity.  The gadget construction uses the
 stored endpoint order of the undirected edge; the resulting partition does
-not depend on that order.
+not depend on that order.  Edge-resilient blocks are one 2eTSCC
+computation on the gadget reduction for every failure set; the restricted
+sets double the edges that may not fail (see ``edge_resilient_blocks``).
 """
 
 from __future__ import annotations
@@ -143,17 +145,23 @@ def edge_resilient_blocks(g: MixedGraph, fail: str = "both") -> Partition:
     orientation of g minus e strongly connects C.
 
     ``fail`` restricts which edges may fail ("directed", "undirected", or
-    "both").  The restricted variants refine the TSCC partition of the
-    reduced graph over the designated reduced edges only (split halves for
-    directed failures, critical gadget edges for undirected ones).
+    "both").  Every mode is one 2eTSCC computation on the gadget reduction,
+    restricted to the ordinary vertices.  In the restricted modes each
+    reduced edge that may not fail (gadget edges for "directed"; split
+    halves and non-critical gadget edges for "undirected") first gets a
+    parallel copy.  A copy is never a twin and no twinless spanning
+    subgraph needs both, so the TSCCs stay those of the reduced graph;
+    deleting one copy of a doubled edge changes no TSCC, and deleting a
+    failing edge f leaves the TSCCs of the reduced graph minus f.  The
+    2eTSCCs are therefore the TSCCs refined by those of the reduced graph
+    minus f over the failing edges f only.
     """
     if fail not in ("both", "directed", "undirected"):
         raise GraphError(f"unknown failure set {fail!r}")
     red = split_and_gadget(g)
-    if fail == "both":
-        return red.ordinary_restriction(two_etscc(red.graph))
-    part = tscc(red.graph)
-    eids = red.split_edges if fail == "directed" else red.critical_edges
-    for e in eids:
-        part = part.refine(tscc(red.graph.without_edges([e])))
-    return red.ordinary_restriction(part)
+    d = red.graph
+    if fail != "both":
+        failing = set(red.split_edges if fail == "directed" else red.critical_edges)
+        copies = tuple(e for i, e in enumerate(d.edges) if i not in failing)
+        d = DiGraph._trusted(d.n, d.edges + copies)
+    return red.ordinary_restriction(two_etscc(d))

@@ -319,12 +319,16 @@ def three_ecc_classes(g: UGraph) -> Partition:
                 [(pre[a], pre[b]), (pre[b] + size[b], pre[a] + size[a])]
             )
 
-    # innermost-side sweep over preorder positions
-    opens: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    # innermost-side sweep over preorder positions; segments opening at the
+    # same position are pushed outermost first: by segment end, then by the
+    # side's total span (of two nested sides sharing a segment, the outer
+    # one is the larger)
+    opens: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
     closes: list[list[int]] = [[] for _ in range(n + 1)]
     for segs, sid in sides.items():
+        span = sum(r - l for l, r in segs)
         for l, r in segs:
-            opens[l].append((r, sid))
+            opens[l].append((r, span, sid))
             closes[r].append(sid)
     stack: list[int] = []
     label = [-1] * n
@@ -335,7 +339,7 @@ def three_ecc_classes(g: UGraph) -> Partition:
                 pending.discard(stack.pop())
             if pending:
                 raise AssertionError("cut sides are not laminar")
-        for _, sid in sorted(opens[p], reverse=True):
+        for _, _, sid in sorted(opens[p], reverse=True):
             stack.append(sid)
         label[p] = stack[-1] if stack else -1
     return Partition.from_labels({order[p]: label[p] for p in range(n)})
@@ -377,28 +381,21 @@ def three_ecc_cactus(g: UGraph) -> Cactus:
 
     cycle_of_qedge = [-1] * len(q_pairs)
     cycles: list[tuple[int, ...]] = []
-    qadj = quotient.adj()
     for blk in bf.blocks:
-        verts = sorted({v for qe in blk for v in quotient.edges[qe]})
-        if len(blk) != len(verts):
-            raise AssertionError("cactus block is not a cycle")
-        blk_set = set(blk)
-        deg = {v: 0 for v in verts}
+        # the block's own edges at each of its nodes (two per node on a cycle)
+        inc: dict[int, list[int]] = {}
         for qe in blk:
             a, b = quotient.edges[qe]
-            deg[a] += 1
-            deg[b] += 1
-        if any(d != 2 for d in deg.values()):
+            inc.setdefault(a, []).append(qe)
+            inc.setdefault(b, []).append(qe)
+        if any(len(es) != 2 for es in inc.values()):
             raise AssertionError("cactus block is not a cycle")
         # walk the cycle from its smallest node, preferring small edge ids
-        start = verts[0]
+        v = min(inc)
         walk: list[int] = []
-        v, used = start, set()
+        used: set[int] = set()
         while len(walk) < len(blk):
-            nxt = min(
-                (qe for w, qe in qadj[v] if qe in blk_set and qe not in used),
-                default=None,
-            )
+            nxt = min((qe for qe in inc[v] if qe not in used), default=None)
             if nxt is None:
                 raise AssertionError("cactus block is not a cycle")
             used.add(nxt)

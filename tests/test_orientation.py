@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
+from twinscc import orientation
 from twinscc.graph import GraphError, MixedGraph, Partition, refines
 from twinscc.orientation import (
     edge_resilient_blocks,
@@ -16,6 +18,8 @@ from twinscc.orientation import (
 from twinscc.pipeline import two_escc, two_etscc_baseline
 from twinscc.strong import scc
 from twinscc import oracles
+
+from resilient_reference import edge_resilient_per_edge
 
 
 def test_split_and_twin_shapes():
@@ -159,3 +163,41 @@ def test_edge_resilient_mid_size_vs_baseline():
     red = split_and_gadget(g)
     want = red.ordinary_restriction(two_etscc_baseline(red.graph))
     assert edge_resilient_blocks(g, "both") == want
+
+
+@pytest.mark.parametrize("m", [100, 300])
+def test_restricted_failures_mid_size_vs_per_edge_reference(m):
+    # n = m/4 and half the edges undirected, as `twinscc gen --model mixed`
+    # makes them; the brute-force oracle stops at about 12 edges
+    g = oracles.gen_mixed(m // 4, m // 2, m - m // 2, random.Random(m))
+    for fail in ("directed", "undirected"):
+        assert edge_resilient_blocks(g, fail) == edge_resilient_per_edge(g, fail), fail
+
+
+@pytest.mark.parametrize("fail", ["both", "directed", "undirected"])
+def test_edge_resilient_budget_1000_edges(fail):
+    g = oracles.gen_mixed(250, 500, 500, random.Random(1))
+    t = time.perf_counter()
+    edge_resilient_blocks(g, fail)
+    seconds = time.perf_counter() - t
+    # under a second on a 2-core machine; one tscc pass per failing edge
+    # took 36-40 s for "directed"
+    assert seconds < 10, f"--fail {fail} took {seconds:.1f} s at 1,000 edges"
+
+
+@pytest.mark.parametrize("fail", ["both", "directed", "undirected"])
+def test_each_failure_mode_is_one_two_etscc_call(monkeypatch, fail):
+    calls = {"two_etscc": 0, "tscc": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(orientation, "two_etscc", counted("two_etscc", orientation.two_etscc))
+    monkeypatch.setattr(orientation, "tscc", counted("tscc", orientation.tscc))
+    g = oracles.gen_mixed(10, 10, 10, random.Random(2))
+    edge_resilient_blocks(g, fail)
+    assert calls == {"two_etscc": 1, "tscc": 0}

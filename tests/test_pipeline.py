@@ -180,3 +180,17 @@ def test_two_etscc_bridgey_mid_size_vs_baseline():
     assert got == two_etscc_baseline(g)
     # about 0.1 s on a 2-core machine; a super-linear marked_veb takes minutes
     assert seconds < 20, f"two_etscc took {seconds:.1f} s at m = 1024"
+
+
+def test_two_etscc_nested_cut_sides_vs_baseline():
+    # a 13-vertex TSCC whose underlying graph has two nested 2-edge-cut
+    # sides starting and ending at the same preorder positions; a wrong
+    # 3ecc partition there made the cactus builder fail with
+    # "cactus block is not a cycle"
+    g = DiGraph(18, [
+        (4, 6), (6, 3), (0, 9), (9, 3), (3, 11), (11, 2), (2, 12), (12, 13),
+        (13, 14), (14, 4), (4, 13), (14, 12), (2, 15), (15, 16), (16, 17),
+        (17, 0), (0, 16),
+    ])
+    assert two_etscc(g, verify=True) == two_etscc_baseline(g)
+    assert two_etscc(g) == Partition([[v] for v in range(18)])

@@ -155,3 +155,29 @@ def test_bridges_2ecc_random_vs_oracle(rng):
         bridges, blocks = bridges_2ecc(g)
         assert blocks == oracles.oracle_2ecc(g)
         assert tuple(sorted(bridges)) == oracles.oracle_bridges(g)
+
+
+def test_three_ecc_nested_sides_sharing_a_segment():
+    # the 13-vertex TSCC of the digraph in
+    # test_pipeline.py::test_two_etscc_nested_cut_sides_vs_baseline, as an
+    # undirected graph: two nested cut sides open a preorder segment at the
+    # same position with the same end, and the outer one must be pushed
+    # first; relabelings move the DFS so the tie shows up at other places
+    edges = [
+        (0, 5), (0, 11), (0, 12), (1, 6), (1, 7), (1, 10), (2, 4), (2, 5),
+        (2, 6), (3, 4), (3, 8), (3, 9), (7, 8), (7, 9), (8, 9), (10, 11),
+        (11, 12),
+    ]
+    g = UGraph(13, edges)
+    assert three_ecc_classes(g) == oracles.oracle_3ecc(g)
+    assert three_ecc_classes(g) == Partition(
+        [[0, 11], [1, 2], [3, 7, 8, 9], [4], [5], [6], [10], [12]]
+    )
+    rng = random.Random(5)
+    for _ in range(100):
+        perm = list(range(13))
+        rng.shuffle(perm)
+        relabeled = [(perm[a], perm[b]) for a, b in edges]
+        rng.shuffle(relabeled)
+        h = UGraph(13, relabeled)
+        assert three_ecc_classes(h) == oracles.oracle_3ecc(h), relabeled
