@@ -206,8 +206,11 @@ def s_operation(g: DiGraph, eid: int, cap: Optional[int] = None) -> list[tuple[t
     return members
 
 
-def _second_level(h1: AuxGraph) -> list[AuxGraph]:
-    """Final-family members derived from one first-level graph."""
+def second_level(h1: AuxGraph) -> list[AuxGraph]:
+    """Final-family members derived from one first-level graph.
+
+    Their oo-sets partition ``h1.ordinary1``.
+    """
     sub, local, back = h1.digraph()
     rev = sub.reverse()
     r_loc = local[h1.r]
@@ -266,7 +269,9 @@ def _second_level(h1: AuxGraph) -> list[AuxGraph]:
             assert crit_loc is not None
             crit = (back[crit_loc[0]], back[crit_loc[1]])
             vmap = {v: i for i, v in enumerate(verts)}
-            h2_graph = DiGraph(len(verts), [(vmap[u], vmap[v]) for u, v in edges])
+            h2_graph = DiGraph._trusted(
+                len(verts), tuple((vmap[u], vmap[v]) for u, v in edges)
+            )
             crit_ids = [
                 i for i, e in enumerate(h2_graph.edges)
                 if e == (vmap[crit[0]], vmap[crit[1]])
@@ -353,6 +358,10 @@ def build_final_family(g: DiGraph, s: int, _bd=None) -> list[AuxGraph]:
     """The family {H_ss} + {tilde H_rr} + S(H_sr, .) + S(H_rr', .) members.
 
     The oo-sets of the returned members partition the vertex set of ``g``.
+    This is the concatenation of ``second_level`` over the first level.
+    The pipeline builds the second level only for first-level members with
+    at least two ordinary vertices: those with one ordinary vertex r yield
+    members whose oo-sets are exactly {r}, which cannot split.
     """
     if g.n == 1:
         return [
@@ -371,7 +380,7 @@ def build_final_family(g: DiGraph, s: int, _bd=None) -> list[AuxGraph]:
         ]
     members: list[AuxGraph] = []
     for h1 in build_first_level(g, s, _bd=_bd):
-        members.extend(_second_level(h1))
+        members.extend(second_level(h1))
     return members
 
 

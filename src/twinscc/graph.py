@@ -104,20 +104,6 @@ class DiGraph:
             )
         return self._in
 
-    def out_adj(self) -> list[list[tuple[int, int]]]:
-        """Per vertex, list of (head, edge id) pairs in edge-id order."""
-        out: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for eid, (u, v) in enumerate(self.edges):
-            out[u].append((v, eid))
-        return out
-
-    def in_adj(self) -> list[list[tuple[int, int]]]:
-        """Per vertex, list of (tail, edge id) pairs in edge-id order."""
-        inc: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for eid, (u, v) in enumerate(self.edges):
-            inc[v].append((u, eid))
-        return inc
-
     def reverse(self) -> "DiGraph":
         """Reverse digraph; edge ids are preserved."""
         rev = DiGraph._trusted(self.n, tuple((v, u) for (u, v) in self.edges))
@@ -346,9 +332,6 @@ class Partition:
         if self._index is None:
             self._index = {v: i for i, b in enumerate(self.blocks) for v in b}
         return self._index
-
-    def block_of(self, v: int) -> tuple[int, ...]:
-        return self.blocks[self.block_index()[v]]
 
     def refine(self, other: "Partition") -> "Partition":
         """Mutual refinement; blocks are the nonempty pairwise intersections.

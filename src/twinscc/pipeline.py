@@ -10,7 +10,9 @@ result is the mutual refinement of two partitions:
   deleting, per qualifying edge, the whole cactus cycle through it; and
 * the partition due to strong bridges, assembled from the final auxiliary
   family: per member, contract every X_e in the underlying graph into a
-  marked vertex and compute marked vertex-edge blocks.
+  marked vertex and compute marked vertex-edge blocks.  Only members with
+  at least two oo vertices can split, and a TSCC without strong bridges
+  skips this partition altogether.
 
 A quadratic baseline (refine by the TSCCs of g minus e over every twinless
 strong bridge e) is kept for benchmarking and as a mid-level oracle.
@@ -22,7 +24,13 @@ from .graph import DiGraph, Partition, PreconditionError, UGraph, underlying
 from .undirected import bridges_2ecc, three_ecc_cactus
 from .dominators import _strongly_connected, flow_bridges, strong_bridges
 from .strong import scc, tscc, twinless_strong_bridges
-from .auxiliary import AuxGraph, build_final_family, classify_xe, verify_xe
+from .auxiliary import (
+    AuxGraph,
+    build_first_level,
+    classify_xe,
+    second_level,
+    verify_xe,
+)
 from .spqr import marked_veb
 
 
@@ -63,9 +71,14 @@ def partition_et_minus_es(g: DiGraph, _es=None) -> Partition:
 
 
 def partition_strong_bridges(h: AuxGraph, verify: bool = False) -> Partition:
-    """Partition of h's oo vertices due to the strong bridges of h."""
-    if not h.oo:
-        return Partition([])
+    """Partition of h's oo vertices due to the strong bridges of h.
+
+    A member with at most one oo vertex cannot split, so it is returned
+    as one block (or none) before any graph is built or any strong bridge
+    is computed.
+    """
+    if len(h.oo) <= 1:
+        return Partition.trivial(h.oo)
     d, local, back = h.digraph()
     sbs = strong_bridges(d, _checked=True)  # members are strongly connected
     if not sbs:
@@ -117,11 +130,35 @@ def partition_strong_bridges(h: AuxGraph, verify: bool = False) -> Partition:
     return Partition(blocks)
 
 
+def _splittable_family(g: DiGraph, bd=None):
+    """The final auxiliary family of the strongly connected ``g`` (source
+    0), except that a first-level member with one ordinary vertex r
+    stands in for the members derived from it.
+
+    The oo-sets of those members partition the ordinary vertices of their
+    first-level member, so they are exactly {r}: one block, whatever the
+    strong bridges, and the second level is not built for it.
+    """
+    for h1 in build_first_level(g, 0, _bd=bd):
+        if len(h1.oo) == 1:
+            yield h1
+        else:
+            yield from second_level(h1)
+
+
 def _strong_bridge_partition(g: DiGraph, verify: bool = False, _bd=None) -> Partition:
     """Partition of V(g) due to strong bridges, assembled across the final
-    auxiliary family (whose oo-sets partition V)."""
+    auxiliary family (whose oo-sets partition V).
+
+    Only members with at least two oo vertices are analysed: a first-level
+    member with one ordinary vertex skips its second level, and a final
+    member with at most one oo vertex skips its strong-bridge pass
+    (``partition_strong_bridges``).  Neither can split a block.
+    ``two_etscc`` does not call this for a TSCC without strong bridges:
+    there the partition is the whole TSCC.
+    """
     blocks = []
-    for h in build_final_family(g, 0, _bd=_bd):
+    for h in _splittable_family(g, _bd):
         blocks.extend(partition_strong_bridges(h, verify=verify).blocks)
     return Partition(blocks)
 
@@ -130,7 +167,9 @@ def two_escc(g: DiGraph) -> Partition:
     """2-edge strongly connected components.
 
     Per SCC, the blocks are exactly the oo-sets of the final auxiliary
-    family members of the induced subgraph.
+    family members of the induced subgraph.  A first-level member with one
+    ordinary vertex r contributes {r} without building its second level,
+    whose oo-sets are exactly {r}.
     """
     blocks: list[list[int]] = []
     for comp in scc(g).components:
@@ -141,7 +180,7 @@ def two_escc(g: DiGraph) -> Partition:
             sub, verts = g, None
         else:
             sub, verts, _ = g.induced(comp)
-        for h in build_final_family(sub, 0):
+        for h in _splittable_family(sub):
             if h.oo:
                 blocks.append(
                     sorted(h.oo) if verts is None else sorted(verts[i] for i in h.oo)
@@ -165,9 +204,10 @@ def two_etscc(g: DiGraph, verify: bool = False) -> Partition:
         bd = flow_bridges(sub, 0)
         es = set(bd.flow_bridges)
         es.update(flow_bridges(sub.reverse(), 0).flow_bridges)
-        p1 = partition_et_minus_es(sub, _es=es)
-        p2 = _strong_bridge_partition(sub, verify=verify, _bd=bd)
-        for piece in p1.refine(p2):
+        part = partition_et_minus_es(sub, _es=es)
+        if es:  # without strong bridges their partition is the whole TSCC
+            part = part.refine(_strong_bridge_partition(sub, verify=verify, _bd=bd))
+        for piece in part:
             blocks.append(piece if verts is None else [verts[i] for i in piece])
     return Partition(blocks)
 

@@ -13,10 +13,11 @@ from twinscc.strong import scc, tscc
 from twinscc.pipeline import (
     partition_et_minus_es,
     two_escc,
+    two_escc_baseline,
     two_etscc,
     two_etscc_baseline,
 )
-from twinscc import oracles
+from twinscc import auxiliary, dominators, oracles, pipeline
 
 from named_graphs import bik2, bik3, cyc3, two_triangles
 from test_strong import et_gap_fixture
@@ -194,3 +195,70 @@ def test_two_etscc_nested_cut_sides_vs_baseline():
     ])
     assert two_etscc(g, verify=True) == two_etscc_baseline(g)
     assert two_etscc(g) == Partition([[v] for v in range(18)])
+
+
+@pytest.mark.parametrize("m", [256, 1024, 4096])
+def test_two_escc_bridgey_mid_size_vs_baseline(m):
+    for seed in (1, 2, 3):
+        g = oracles.gen_digraph(m // 4, m, random.Random(seed), "bridgey")
+        assert two_escc(g) == two_escc_baseline(g), (m, seed)
+
+
+def test_only_members_that_can_split_are_analysed(monkeypatch):
+    # a member with at most one oo vertex, or a first-level member with one
+    # ordinary vertex, cannot split a block, so neither gets a strong-bridge
+    # pass or a second level
+    current = []
+    seen = {"strong_bridges": 0, "second_level": 0}
+
+    def analysed(h, verify=False):
+        current.append(h)
+        try:
+            return partition_strong_bridges(h, verify=verify)
+        finally:
+            current.pop()
+
+    def bridges(d, _checked=False):
+        if current:
+            seen["strong_bridges"] += 1
+            assert len(current[-1].oo) >= 2, (current[-1].kind, current[-1].oo)
+        return strong_bridges(d, _checked=_checked)
+
+    def derived(h1):
+        seen["second_level"] += 1
+        assert len(h1.ordinary1) >= 2, h1.ordinary1
+        return second_level(h1)
+
+    partition_strong_bridges = pipeline.partition_strong_bridges
+    strong_bridges = pipeline.strong_bridges
+    second_level = pipeline.second_level
+    monkeypatch.setattr(pipeline, "partition_strong_bridges", analysed)
+    monkeypatch.setattr(pipeline, "strong_bridges", bridges)
+    monkeypatch.setattr(pipeline, "second_level", derived)
+    g = oracles.gen_digraph(256, 1024, random.Random(1), "bridgey")
+    assert two_etscc(g) == two_etscc_baseline(g)
+    assert two_escc(g) == two_escc_baseline(g)
+    assert seen["strong_bridges"] > 0 and seen["second_level"] > 0
+
+
+def test_two_etscc_without_strong_bridges_skips_the_family(monkeypatch):
+    calls = {"dominator_tree": 0, "build_first_level": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        dominators, "dominator_tree", counted("dominator_tree", dominators.dominator_tree)
+    )
+    for mod in (auxiliary, pipeline):
+        monkeypatch.setattr(
+            mod, "build_first_level", counted("build_first_level", mod.build_first_level)
+        )
+    g = oracles.gen_strongly_connected_fast(1024, 4096, random.Random(1))
+    assert two_etscc(g) == Partition([range(g.n)])
+    # one forward and one reverse pass find no strong bridge; nothing more
+    assert calls == {"dominator_tree": 2, "build_first_level": 0}
