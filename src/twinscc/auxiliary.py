@@ -78,9 +78,6 @@ class XeClass:
     members: frozenset[int]
 
 
-_SMALL_RECOMPUTE = 5  # members this small are classified by direct SCC recomputation
-
-
 def build_first_level(g: DiGraph, s: int, _bd=None) -> list[AuxGraph]:
     """All first-level auxiliary graphs H(G_s, r), r in {s} + marked."""
     if _bd is None:
@@ -395,13 +392,14 @@ def classify_xe(h: AuxGraph, eid: int) -> XeClass:
 
     Metadata-driven in constant time: edges touching an S-operation
     attachment split off the whole attachment set; otherwise exactly the
-    non-oo endpoints split off.  Tiny members (including the four-vertex
-    degenerate shape) are classified by direct SCC recomputation.
+    non-oo endpoints split off.  A member without oo vertices (where the
+    degenerate shapes live, and which the pipeline never classifies) is
+    classified by direct SCC recomputation instead.
     """
     if not 0 <= eid < len(h.edges):
         raise GraphError(f"edge id {eid} out of range")
     x, y = h.edges[eid]
-    if len(h.vertices) <= _SMALL_RECOMPUTE:
+    if not h.oo:
         return _classify_by_recompute(h, eid)
     if h.attached and (x in h.attached or y in h.attached):
         members = frozenset(h.attached)

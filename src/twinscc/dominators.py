@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import DiGraph, PreconditionError
+from .graph import DiGraph, PreconditionError, _dfs
 
 
 class DomTree:
@@ -62,35 +62,10 @@ def dominator_tree(g: DiGraph, s: int) -> DomTree:
     n = g.n
     if not 0 <= s < n:
         raise PreconditionError(f"source {s} out of range")
-    ostart, odst, _ = g.out_csr()
+    ostart, odst, oeid = g.out_csr()
     istart, isrc, _ = g.in_csr()
 
-    dfn = [-1] * n
-    verts: list[int] = []
-    par = [-1] * n
-    ptr = list(ostart[:n])
-    dfn[s] = 0
-    verts.append(s)
-    stack = [s]
-    while stack:
-        v = stack[-1]
-        advanced = False
-        end = ostart[v + 1]
-        i = ptr[v]
-        while i < end:
-            w = odst[i]
-            i += 1
-            if dfn[w] == -1:
-                ptr[v] = i
-                dfn[w] = len(verts)
-                verts.append(w)
-                par[w] = v
-                stack.append(w)
-                advanced = True
-                break
-        if not advanced:
-            ptr[v] = i
-            stack.pop()
+    dfn, verts, par, _ = _dfs(n, ostart, odst, oeid, (s,))
     if len(verts) != n:
         missing = next(v for v in range(n) if dfn[v] == -1)
         raise PreconditionError(f"vertex {missing} unreachable from source {s}")
@@ -210,24 +185,9 @@ def flow_bridges(g: DiGraph, s: int) -> BridgeDecomposition:
 
 
 def _strongly_connected(g: DiGraph) -> bool:
-    if g.n <= 1:
-        return True
-    for start, dst, _ in (g.out_csr(), g.in_csr()):
-        seen = bytearray(g.n)
-        seen[0] = 1
-        stack = [0]
-        cnt = 1
-        while stack:
-            v = stack.pop()
-            for j in range(start[v], start[v + 1]):
-                w = dst[j]
-                if not seen[w]:
-                    seen[w] = 1
-                    cnt += 1
-                    stack.append(w)
-        if cnt != g.n:
-            return False
-    return True
+    return g.n <= 1 or all(
+        len(_dfs(g.n, *csr, (0,))[1]) == g.n for csr in (g.out_csr(), g.in_csr())
+    )
 
 
 def strong_bridges(g: DiGraph, _checked: bool = False) -> tuple[int, ...]:

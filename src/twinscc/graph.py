@@ -6,7 +6,13 @@ with stable 0-based ids in input order.  Self-loops are accepted on input
 and ignored by every connectivity operation.
 
 All types are immutable after construction and safe to share across
-threads.  Adjacency structures are built lazily and cached.
+threads.  Adjacency structures are built lazily and cached, as flat CSR
+arrays (``_csr``).  The graph kernels every layer shares sit next to them:
+one iterative depth-first search over CSR arrays (``_dfs``), which every
+graph search except Tarjan's ``scc`` and the SPQR path search runs on, and
+one union-find (``_find``/``_union``).  Public constructors check their
+input; internal graphs whose endpoints are known to be in range use
+``_trusted``.
 """
 
 from __future__ import annotations
@@ -52,6 +58,59 @@ def _csr(n: int, triples: Sequence[tuple[int, int, int]]):
         eid[slot] = j
         start[u + 1] = slot + 1
     return start[: n + 1], dst, eid
+
+
+def _dfs(n: int, start, dst, eid, roots: Iterable[int]):
+    """Iterative depth-first search over CSR arrays, one tree per root in
+    ``roots`` not reached from an earlier one; neighbours are tried in
+    CSR order.  Returns (pre, order, parent, parent_eid): preorder
+    numbers (-1: unreached), the vertices in preorder, and each vertex's
+    tree parent and tree-edge id (-1 for roots and unreached vertices).
+    """
+    pre = [-1] * n
+    parent = [-1] * n
+    parent_eid = [-1] * n
+    order: list[int] = []
+    ptr = list(start[:n])
+    for root in roots:
+        if pre[root] != -1:
+            continue
+        pre[root] = len(order)
+        order.append(root)
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            i = ptr[v]
+            end = start[v + 1]
+            while i < end:
+                w = dst[i]
+                i += 1
+                if pre[w] == -1:
+                    ptr[v] = i
+                    pre[w] = len(order)
+                    order.append(w)
+                    parent[w] = v
+                    parent_eid[w] = eid[i - 1]
+                    stack.append(w)
+                    break
+            else:
+                stack.pop()
+    return pre, order, parent, parent_eid
+
+
+def _find(parent: list[int], x: int) -> int:
+    """Root of x in the union-find forest ``parent`` (path halving)."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent: list[int], x: int, y: int) -> None:
+    """Join the sets of x and y; the root of x's set stays the root."""
+    rx, ry = _find(parent, x), _find(parent, y)
+    if rx != ry:
+        parent[ry] = rx
 
 
 class DiGraph:
@@ -281,7 +340,9 @@ def underlying(g: DiGraph) -> UGraphView:
         key = (u, v) if u < v else (v, u)
         buckets.setdefault(key, []).append(eid)
     keys = sorted(buckets)
-    return UGraphView(g.n, keys, [buckets[k] for k in keys])
+    view = UGraphView._trusted(g.n, tuple(keys))
+    view.origins = tuple(tuple(buckets[k]) for k in keys)
+    return view
 
 
 class Partition:

@@ -20,7 +20,18 @@ strong bridge e) is kept for benchmarking and as a mid-level oracle.
 
 from __future__ import annotations
 
-from .graph import DiGraph, Partition, PreconditionError, UGraph, underlying
+import time
+from typing import Optional
+
+from .graph import (
+    DiGraph,
+    Partition,
+    PreconditionError,
+    UGraph,
+    _find,
+    _union,
+    underlying,
+)
 from .undirected import bridges_2ecc, three_ecc_cactus
 from .dominators import _strongly_connected, flow_bridges, strong_bridges
 from .strong import scc, tscc, twinless_strong_bridges
@@ -55,19 +66,12 @@ def partition_et_minus_es(g: DiGraph, _es=None) -> Partition:
         if len(origins) == 1 and origins[0] not in es:
             drop.add(cycle_id)
     parent = list(range(cactus.node_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for a, b, cycle_id, _ in cactus.edges:
         if cycle_id not in drop:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-    return Partition.from_labels({v: find(cactus.phi[v]) for v in range(g.n)})
+            _union(parent, a, b)
+    return Partition.from_labels(
+        {v: _find(parent, cactus.phi[v]) for v in range(g.n)}
+    )
 
 
 def partition_strong_bridges(h: AuxGraph, verify: bool = False) -> Partition:
@@ -89,33 +93,26 @@ def partition_strong_bridges(h: AuxGraph, verify: bool = False) -> Partition:
             verify_xe(h, xe)
 
     parent = list(range(d.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for xe in xes:
         members = sorted(local[v] for v in xe.members)
         for v in members[1:]:
-            parent[find(v)] = find(members[0])
+            _union(parent, members[0], v)
 
     classes: dict[int, list[int]] = {}
     for v in range(d.n):
-        classes.setdefault(find(v), []).append(v)
+        classes.setdefault(_find(parent, v), []).append(v)
     order = sorted(classes, key=lambda r: classes[r][0])
     qid = {r: i for i, r in enumerate(order)}
     contracted = {local[v] for xe in xes for v in xe.members}
-    marked = sorted({qid[find(v)] for v in contracted})
+    marked = sorted({qid[_find(parent, v)] for v in contracted})
 
     view = underlying(d)
     qedges = []
     for a, b in view.edges:
-        qa, qb = qid[find(a)], qid[find(b)]
+        qa, qb = qid[_find(parent, a)], qid[_find(parent, b)]
         if qa != qb:
             qedges.append((qa, qb))
-    blocks_q = marked_veb(UGraph(len(order), qedges), marked)
+    blocks_q = marked_veb(UGraph._trusted(len(order), tuple(qedges)), marked)
 
     blocks = []
     for qblock in blocks_q:
@@ -212,11 +209,17 @@ def two_etscc(g: DiGraph, verify: bool = False) -> Partition:
     return Partition(blocks)
 
 
-def two_etscc_baseline(g: DiGraph) -> Partition:
+def two_etscc_baseline(g: DiGraph, deadline: Optional[float] = None) -> Partition:
     """Quadratic baseline: refine the TSCC partition by the TSCCs of g
-    minus e for every twinless strong bridge e."""
+    minus e for every twinless strong bridge e.
+
+    With a ``deadline`` (a ``time.perf_counter()`` value), raises
+    ``TimeoutError`` when it has passed before the next refinement step.
+    """
     part = tscc(g)
     for e in twinless_strong_bridges(g):
+        if deadline is not None and time.perf_counter() > deadline:
+            raise TimeoutError("baseline passed its deadline")
         part = part.refine(tscc(g.without_edges([e])))
     return part
 

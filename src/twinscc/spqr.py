@@ -10,10 +10,9 @@ traversal keeps its own stacks, so nothing recurses.  ``spqr`` wraps the
 result as an ``SpqrTree``.
 
 A vertex-edge cut pair (v, e) always shows up as an S-node whose skeleton
-contains v and the real edge e, with v not an end of e
-(``vertex_edge_cut_pairs``).  ``marked_veb`` reads its blocks off the
-S-nodes of each biconnected block that holds marked vertices, in
-O(m) overall.
+contains v and the real edge e, with v not an end of e.  ``marked_veb``
+reads its blocks off the S-nodes of each biconnected block that holds
+marked vertices, in O(m) overall.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Partition, PreconditionError, UGraph
+from .graph import Partition, PreconditionError, UGraph, _find, _union
 from .undirected import biconnected
 
 Tag = tuple[str, int]  # ("real", edge id) | ("virtual", pair id)
@@ -522,13 +521,6 @@ def _triconnected_components(
                 else:
                     twin[e - m0] = k
     root = list(range(len(members)))
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
     dropped = bytearray(m_all)
     for e in range(m0, m_all):
         a, b = home[e - m0], twin[e - m0]
@@ -536,12 +528,10 @@ def _triconnected_components(
             raise AssertionError("virtual edge not in two split components")
         if kinds[a] == kinds[b] and kinds[a] in "SP":
             dropped[e] = 1
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                root[rb] = ra
+            _union(root, a, b)
     merged: dict[int, list[int]] = {}
     for k, comp in enumerate(members):
-        merged.setdefault(find(k), []).extend(e for e in comp if not dropped[e])
+        merged.setdefault(_find(root, k), []).extend(e for e in comp if not dropped[e])
     out_kinds = [kinds[k] for k in merged]
     out_members = list(merged.values())
     return out_kinds, out_members, [orig[x] for x in src], [orig[x] for x in dst]
@@ -629,18 +619,6 @@ def marked_veb(g: UGraph, marked: Iterable[int]) -> Partition:
 
     # elements: the vertices, then one per virtual edge of each block
     parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
     gedges = g.edges
     local = [0] * g.n
     for blk in bf.blocks:
@@ -648,7 +626,7 @@ def marked_veb(g: UGraph, marked: Iterable[int]) -> Partition:
         unmarked = [v for v in verts if not is_marked[v]]
         if len(unmarked) == len(verts):
             for v in unmarked[1:]:
-                union(unmarked[0], v)
+                _union(parent, unmarked[0], v)
             continue
         for i, v in enumerate(verts):
             local[v] = i
@@ -669,7 +647,7 @@ def marked_veb(g: UGraph, marked: Iterable[int]) -> Partition:
                     if e >= m0:
                         for x in (verts[src[e]], verts[dst[e]]):
                             if not is_marked[x]:
-                                union(base + e, x)
+                                _union(parent, base + e, x)
                 continue
             rep = -1
             for e in comp:
@@ -678,27 +656,13 @@ def marked_veb(g: UGraph, marked: Iterable[int]) -> Partition:
                         if rep < 0:
                             rep = x
                         else:
-                            union(rep, x)
+                            _union(parent, rep, x)
                 if e >= m0:
                     if rep < 0:
                         rep = base + e
                     else:
-                        union(rep, base + e)
+                        _union(parent, rep, base + e)
 
-    labels = {v: find(v) for v in range(g.n) if not is_marked[v]}
+    labels = {v: _find(parent, v) for v in range(g.n) if not is_marked[v]}
     return Partition.from_labels(labels)
 
-
-def vertex_edge_cut_pairs(tree: SpqrTree) -> list[tuple[int, int]]:
-    """All (vertex, real edge id) cut-pairs readable from the S-nodes."""
-    out = set()
-    for node in tree.nodes:
-        if node.kind != "S":
-            continue
-        for u, v, tag in node.edges:
-            if tag[0] != "real":
-                continue
-            for w in node.vertices():
-                if w not in (u, v):
-                    out.add((w, tag[1]))
-    return sorted(out)

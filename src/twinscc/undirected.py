@@ -1,6 +1,11 @@
 """Undirected decompositions: bridges, 2ecc, biconnected blocks, 3ecc cactus.
 
-All traversals are iterative so deep graphs do not hit the recursion limit.
+Every decomposition reads one depth-first forest of the graph's CSR
+arrays (``graph._dfs``, iterative, so deep graphs do not hit the recursion
+limit).  Bridges, 2ecc and biconnected blocks come from low points computed
+in one reverse-preorder sweep; none of them keeps an edge stack or a
+union-find.
+
 Inputs are undirected multigraphs; parallel edges are significant (a
 parallel pair is never a bridge) and self-loops are ignored.
 """
@@ -10,143 +15,64 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import Partition, PreconditionError, UGraph
+from .graph import Partition, PreconditionError, UGraph, _dfs
 
 _COVER_SEED = 0x3ECC_CAC7
 _COVER_BITS = 127
 
 
 def connected_components(g: UGraph) -> Partition:
-    start, dst, _ = g.csr()
+    _, order, parent, _ = _dfs(g.n, *g.csr(), range(g.n))
     comp = [-1] * g.n
-    c = 0
-    for root in range(g.n):
-        if comp[root] != -1:
-            continue
-        comp[root] = c
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for j in range(start[v], start[v + 1]):
-                w = dst[j]
-                if comp[w] == -1:
-                    comp[w] = c
-                    stack.append(w)
-        c += 1
+    for v in order:
+        comp[v] = v if parent[v] == -1 else comp[parent[v]]
     return Partition.from_labels({v: comp[v] for v in range(g.n)})
 
 
-def _dfs_forest(g: UGraph):
-    """Iterative DFS. Returns (pre, order, parent, parent_eid, size)."""
+def _low_points(g: UGraph):
+    """DFS forest of ``g`` plus low points: ``low[v]`` is the smallest
+    preorder number reachable from v's subtree by one non-tree edge (a
+    parallel copy of a tree edge counts).  One reverse-preorder sweep.
+    Returns (pre, order, parent, parent_eid, low)."""
     start, dst, eids = g.csr()
-    n = g.n
-    pre = [-1] * n
-    parent = [-1] * n
-    parent_eid = [-1] * n
-    size = [1] * n
-    order: list[int] = []
-    ptr = list(start[:n])
-    for root in range(n):
-        if pre[root] != -1:
-            continue
-        pre[root] = len(order)
-        order.append(root)
-        stack = [root]
-        while stack:
-            v = stack[-1]
-            advanced = False
-            end = start[v + 1]
-            i = ptr[v]
-            while i < end:
-                w = dst[i]
-                e = eids[i]
-                i += 1
-                if pre[w] == -1:
-                    ptr[v] = i
-                    pre[w] = len(order)
-                    order.append(w)
-                    parent[w] = v
-                    parent_eid[w] = e
-                    stack.append(w)
-                    advanced = True
-                    break
-            if not advanced:
-                ptr[v] = i
-                stack.pop()
-                if parent[v] != -1:
-                    size[parent[v]] += size[v]
-    return pre, order, parent, parent_eid, size
+    pre, order, parent, parent_eid = _dfs(g.n, start, dst, eids, range(g.n))
+    low = pre[:]
+    for v in reversed(order):
+        lv = low[v]
+        pe = parent_eid[v]
+        for j in range(start[v], start[v + 1]):
+            pw = pre[dst[j]]
+            if pw < lv and eids[j] != pe:
+                lv = pw
+        low[v] = lv
+        p = parent[v]
+        if p != -1 and lv < low[p]:
+            low[p] = lv
+    return pre, order, parent, parent_eid, low
 
 
 def bridges_2ecc(g: UGraph) -> tuple[tuple[int, ...], Partition]:
     """Bridges and the 2-edge-connected components of a multigraph.
 
     Deleting all bridges leaves connected components equal to the blocks of
-    the returned partition; the partition covers every vertex.
+    the returned partition; the partition covers every vertex.  The tree
+    edge into v is a bridge iff low[v] = pre[v], and v's component is its
+    parent's unless that edge is a bridge.
     """
-    start, dst, eids = g.csr()
-    n = g.n
-    pre = [-1] * n
-    low = [0] * n
-    parent_eid = [-1] * n
-    ptr = list(start[:n])
-    timer = 0
+    pre, order, parent, parent_eid, low = _low_points(g)
     bridges: list[int] = []
-    for root in range(n):
-        if pre[root] != -1:
-            continue
-        pre[root] = low[root] = timer
-        timer += 1
-        stack = [root]
-        while stack:
-            v = stack[-1]
-            advanced = False
-            end = start[v + 1]
-            i = ptr[v]
-            lv = low[v]
-            while i < end:
-                w = dst[i]
-                e = eids[i]
-                i += 1
-                if pre[w] == -1:
-                    ptr[v] = i
-                    low[v] = lv
-                    pre[w] = low[w] = timer
-                    timer += 1
-                    parent_eid[w] = e
-                    stack.append(w)
-                    advanced = True
-                    break
-                if e != parent_eid[v] and pre[w] < lv:
-                    lv = pre[w]
-            if not advanced:
-                ptr[v] = i
-                low[v] = lv
-                stack.pop()
-                if stack:
-                    p = stack[-1]
-                    if lv < low[p]:
-                        low[p] = lv
-                    if lv > pre[p]:
-                        bridges.append(parent_eid[v])
-    bridge_set = set(bridges)
-    # 2ecc blocks = components after bridge deletion
-    uf = list(range(n))
-
-    def find(x: int) -> int:
-        while uf[x] != x:
-            uf[x] = uf[uf[x]]
-            x = uf[x]
-        return x
-
-    for eid, (a, b) in enumerate(g.edges):
-        if eid in bridge_set or a == b:
-            continue
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            uf[rb] = ra
-    return tuple(sorted(bridge_set)), Partition.from_labels(
-        {v: find(v) for v in range(n)}
+    label = [-1] * g.n
+    for v in order:
+        p = parent[v]
+        if p == -1:
+            label[v] = v
+        elif low[v] == pre[v]:
+            bridges.append(parent_eid[v])
+            label[v] = v
+        else:
+            label[v] = label[p]
+    return tuple(sorted(bridges)), Partition.from_labels(
+        {v: label[v] for v in range(g.n)}
     )
 
 
@@ -160,64 +86,38 @@ class BlockForest:
 
 
 def biconnected(g: UGraph) -> BlockForest:
-    """Standard block decomposition; a self-loop belongs to no block."""
-    adj = g.adj()
+    """Standard block decomposition; a self-loop belongs to no block.
+
+    The tree edge into v opens a block when low[v] >= pre[parent]
+    (making the parent an articulation point unless it is a root), and
+    otherwise joins its parent's tree-edge block.  Every edge belongs to
+    the block of the tree edge into its deeper end.
+    """
     n = g.n
-    pre = [-1] * n
-    low = [0] * n
-    parent_eid = [-1] * n
-    ptr = [0] * n
-    timer = 0
-    estack: list[int] = []
-    blocks: list[tuple[int, ...]] = []
+    pre, order, parent, _, low = _low_points(g)
+    block_of = [-1] * n
+    nblocks = 0
     artic: set[int] = set()
-    for root in range(n):
-        if pre[root] != -1:
+    root_children = [0] * n
+    for v in order:
+        p = parent[v]
+        if p == -1:
             continue
-        pre[root] = low[root] = timer
-        timer += 1
-        root_children = 0
-        stack = [root]
-        while stack:
-            v = stack[-1]
-            advanced = False
-            a = adj[v]
-            while ptr[v] < len(a):
-                w, eid = a[ptr[v]]
-                ptr[v] += 1
-                if pre[w] == -1:
-                    pre[w] = low[w] = timer
-                    timer += 1
-                    parent_eid[w] = eid
-                    estack.append(eid)
-                    if v == root:
-                        root_children += 1
-                    stack.append(w)
-                    advanced = True
-                    break
-                if eid != parent_eid[v] and pre[w] < pre[v]:
-                    estack.append(eid)
-                    if pre[w] < low[v]:
-                        low[v] = pre[w]
-            if not advanced:
-                stack.pop()
-                if stack:
-                    p = stack[-1]
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                    if low[v] >= pre[p]:
-                        # pop the block hanging below (p, v)
-                        blk: list[int] = []
-                        while True:
-                            eid = estack.pop()
-                            blk.append(eid)
-                            if eid == parent_eid[v]:
-                                break
-                        blocks.append(tuple(sorted(blk)))
-                        if p != root:
-                            artic.add(p)
-        if root_children >= 2:
-            artic.add(root)
+        if low[v] >= pre[p]:
+            block_of[v] = nblocks
+            nblocks += 1
+            if parent[p] == -1:
+                root_children[p] += 1
+            else:
+                artic.add(p)
+        else:
+            block_of[v] = block_of[p]
+    artic.update(v for v in range(n) if root_children[v] >= 2)
+    members: list[list[int]] = [[] for _ in range(nblocks)]
+    for eid, (a, b) in enumerate(g.edges):
+        if a != b:
+            members[block_of[a] if pre[a] > pre[b] else block_of[b]].append(eid)
+    blocks = [tuple(blk) for blk in members]
     blocks.sort()
     vblocks: list[list[int]] = [[] for _ in range(n)]
     for bid, blk in enumerate(blocks):
@@ -255,8 +155,8 @@ def three_ecc_classes(g: UGraph) -> Partition:
         return Partition([])
     if n == 1:
         return Partition([[0]])
-    adj = g.adj()
-    pre, order, parent, parent_eid, size = _dfs_forest(g)
+    start, dst, eids = g.csr()
+    pre, order, parent, parent_eid = _dfs(n, start, dst, eids, range(n))
     if sum(1 for v in range(n) if parent[v] == -1) != 1:
         raise PreconditionError("graph is not connected")
 
@@ -267,7 +167,8 @@ def three_ecc_classes(g: UGraph) -> Partition:
     label_owner: dict[int, int] = {}
     seen_eid: set[int] = set()
     for v in order:
-        for w, eid in adj[v]:
+        for j in range(start[v], start[v + 1]):
+            w, eid = dst[j], eids[j]
             if eid == parent_eid[v] or eid in seen_eid or eid == parent_eid[w]:
                 continue
             seen_eid.add(eid)
@@ -281,11 +182,13 @@ def three_ecc_classes(g: UGraph) -> Partition:
 
     cover_hash = list(xormark)
     cover_cnt = [cnt_low[v] - cnt_up[v] for v in range(n)]
+    size = [1] * n
     for v in reversed(order):
         p = parent[v]
         if p != -1:
             cover_hash[p] ^= cover_hash[v]
             cover_cnt[p] += cover_cnt[v]
+            size[p] += size[v]
     for v in order:
         if parent[v] != -1 and cover_cnt[v] == 0:
             raise PreconditionError("graph is not 2-edge-connected")
@@ -376,7 +279,7 @@ def three_ecc_cactus(g: UGraph) -> Cactus:
             continue
         q_pairs.append((phi[a], phi[b]))
         q_origin.append(eid)
-    quotient = UGraph(k, q_pairs)
+    quotient = UGraph._trusted(k, tuple(q_pairs))
     bf = biconnected(quotient)
 
     cycle_of_qedge = [-1] * len(q_pairs)

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from twinscc.graph import DiGraph, Partition, PreconditionError, refines
-from twinscc.strong import scc, tscc
+from twinscc.strong import scc, tscc, twinless_strong_bridges
 from twinscc.pipeline import (
     partition_et_minus_es,
     two_escc,
@@ -103,6 +103,14 @@ def test_baseline_equivalence(rng):
         m = rng.randrange(0, 2 * n + 6) if n > 1 else 0
         g = oracles.gen_digraph(n, m, rng, model=rng.choice(["er", "bridgey"]))
         assert two_etscc(g) == two_etscc_baseline(g), g.edges
+
+
+def test_baseline_deadline():
+    g = oracles.gen_twinless_bridge_rich(16, 40, random.Random(1))
+    assert twinless_strong_bridges(g)  # the deadline is checked per bridge
+    assert two_etscc_baseline(g, deadline=time.perf_counter() + 60) == two_etscc(g)
+    with pytest.raises(TimeoutError):
+        two_etscc_baseline(g, deadline=time.perf_counter() - 1)
 
 
 def test_gap_fixture_end_to_end():

@@ -2,20 +2,17 @@
 
 from __future__ import annotations
 
-import ast
-import inspect
 import random
 import sys
 import time
 
 import pytest
 
-from twinscc import pipeline, spqr as spqr_module
+from twinscc import pipeline
 from twinscc.graph import Partition, PreconditionError, UGraph
-from twinscc.spqr import marked_veb, spqr, vertex_edge_cut_pairs
+from twinscc.spqr import marked_veb, spqr
 from twinscc.undirected import biconnected
 from twinscc import oracles
-from twinscc.oracles import _components
 
 from mveb_reference import marked_veb_per_vertex
 
@@ -102,18 +99,6 @@ def test_spqr_invariants_random(rng):
         g = oracles.gen_biconnected(n, rng.randrange(n, 2 * n + 4), rng)
         tree = spqr(g)
         _check_tree_invariants(g, tree)
-
-
-def test_vertex_edge_cut_pairs_disconnect(rng):
-    for _ in range(80):
-        n = rng.randrange(3, 10)
-        g = oracles.gen_biconnected(n, rng.randrange(n, 2 * n + 4), rng)
-        tree = spqr(g)
-        others = lambda v: [w for w in range(n) if w != v]
-        for v, eid in vertex_edge_cut_pairs(tree):
-            rest = [e for j, e in enumerate(g.edges) if j != eid and v not in e]
-            parts = _components(g.n, rest).restricted(others(v))
-            assert len(parts) > 1, (g.edges, v, eid)
 
 
 def test_mveb_examples():
@@ -302,18 +287,6 @@ def test_spqr_long_cycle_stays_iterative():
     tree = spqr(g)
     assert sys.getrecursionlimit() == limit
     assert [nd.kind for nd in tree.nodes] == ["S"] and len(tree.nodes[0].edges) == n
-
-
-def test_spqr_module_has_no_recursive_function():
-    tree = ast.parse(inspect.getsource(spqr_module))
-    for fn in ast.walk(tree):
-        if isinstance(fn, ast.FunctionDef):
-            called = {
-                c.func.id
-                for c in ast.walk(fn)
-                if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
-            }
-            assert fn.name not in called, fn.name
 
 
 def test_spqr_node_order_ignores_pair_ids():

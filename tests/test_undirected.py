@@ -155,6 +155,7 @@ def test_bridges_2ecc_random_vs_oracle(rng):
         bridges, blocks = bridges_2ecc(g)
         assert blocks == oracles.oracle_2ecc(g)
         assert tuple(sorted(bridges)) == oracles.oracle_bridges(g)
+        assert connected_components(g) == oracles._components(g.n, g.edges)
 
 
 def test_three_ecc_nested_sides_sharing_a_segment():
