@@ -14,6 +14,12 @@ result is the mutual refinement of two partitions:
   at least two oo vertices can split, and a TSCC without strong bridges
   skips this partition altogether.
 
+Each fact is computed once per TSCC: ``tscc`` hands over the induced
+subgraph and the underlying view it built, and one forward flow-graph pass
+from source 0 feeds both the strong bridges and the auxiliary family.
+``two_escc`` runs the same passes per SCC and builds no family for an SCC
+without strong bridges: it is one 2eSCC.
+
 A quadratic baseline (refine by the TSCCs of g minus e over every twinless
 strong bridge e) is kept for benchmarking and as a mid-level oracle.
 """
@@ -45,10 +51,15 @@ from .auxiliary import (
 from .spqr import marked_veb
 
 
-def partition_et_minus_es(g: DiGraph, _es=None) -> Partition:
+def partition_et_minus_es(g: DiGraph, _es=None, _view=None) -> Partition:
     """Partition of the 2eTSCCs due to twinless strong bridges that are not
-    strong bridges.  Requires a twinless strongly connected input."""
-    view = underlying(g)
+    strong bridges.  Requires a twinless strongly connected input.
+
+    ``two_etscc`` passes the strong bridges ``_es`` it already has and,
+    when ``tscc`` built it, the underlying view ``_view`` of ``g``; the
+    input is then trusted to be twinless strongly connected.
+    """
+    view = underlying(g) if _view is None else _view
     if _es is None:
         if not _strongly_connected(g):
             raise PreconditionError("input must be twinless strongly connected")
@@ -127,10 +138,23 @@ def partition_strong_bridges(h: AuxGraph, verify: bool = False) -> Partition:
     return Partition(blocks)
 
 
-def _splittable_family(g: DiGraph, bd=None):
-    """The final auxiliary family of the strongly connected ``g`` (source
-    0), except that a first-level member with one ordinary vertex r
-    stands in for the members derived from it.
+def _strong_bridge_passes(g: DiGraph):
+    """Yield the forward, then the reverse flow-graph pass from source 0 of
+    the strongly connected ``g``: their flow bridges together are its
+    strong bridges, and the forward one also seeds the auxiliary family.
+
+    A caller that only asks whether a strong bridge exists stops after a
+    forward pass that finds one.
+    """
+    yield flow_bridges(g, 0)
+    yield flow_bridges(g.reverse(), 0)
+
+
+def _splittable_family(g: DiGraph, bd):
+    """The final auxiliary family of the strongly connected ``g`` from
+    source 0, whose forward flow-graph pass ``bd`` is, except that a
+    first-level member with one ordinary vertex r stands in for the
+    members derived from it.
 
     The oo-sets of those members partition the ordinary vertices of their
     first-level member, so they are exactly {r}: one block, whatever the
@@ -143,7 +167,7 @@ def _splittable_family(g: DiGraph, bd=None):
             yield from second_level(h1)
 
 
-def _strong_bridge_partition(g: DiGraph, verify: bool = False, _bd=None) -> Partition:
+def _strong_bridge_partition(g: DiGraph, bd, verify: bool = False) -> Partition:
     """Partition of V(g) due to strong bridges, assembled across the final
     auxiliary family (whose oo-sets partition V).
 
@@ -155,7 +179,7 @@ def _strong_bridge_partition(g: DiGraph, verify: bool = False, _bd=None) -> Part
     there the partition is the whole TSCC.
     """
     blocks = []
-    for h in _splittable_family(g, _bd):
+    for h in _splittable_family(g, bd):
         blocks.extend(partition_strong_bridges(h, verify=verify).blocks)
     return Partition(blocks)
 
@@ -164,7 +188,10 @@ def two_escc(g: DiGraph) -> Partition:
     """2-edge strongly connected components.
 
     Per SCC, the blocks are exactly the oo-sets of the final auxiliary
-    family members of the induced subgraph.  A first-level member with one
+    family members of the induced subgraph.  An SCC without strong bridges
+    is one block, and no family is built for it: its oo-sets are the whole
+    SCC.  The reverse pass runs only when the forward one finds no bridge,
+    and the family reuses the forward pass.  A first-level member with one
     ordinary vertex r contributes {r} without building its second level,
     whose oo-sets are exactly {r}.
     """
@@ -177,7 +204,12 @@ def two_escc(g: DiGraph) -> Partition:
             sub, verts = g, None
         else:
             sub, verts, _ = g.induced(comp)
-        for h in _splittable_family(sub):
+        passes = _strong_bridge_passes(sub)
+        bd = next(passes)
+        if not bd.flow_bridges and not next(passes).flow_bridges:
+            blocks.append(list(comp))
+            continue
+        for h in _splittable_family(sub, bd):
             if h.oo:
                 blocks.append(
                     sorted(h.oo) if verts is None else sorted(verts[i] for i in h.oo)
@@ -188,22 +220,22 @@ def two_escc(g: DiGraph) -> Partition:
 def two_etscc(g: DiGraph, verify: bool = False) -> Partition:
     """2-edge twinless strongly connected components."""
     blocks: list[list[int]] = []
-    for block in tscc(g):
+    parts: list = []
+    tscc(g, _parts=parts)
+    while parts:  # popped, so each TSCC's view is freed once analysed
+        block, sub, verts, view = parts.pop()
         if len(block) == 1:
-            blocks.append(list(block))
+            blocks.append(block)
             continue
-        if len(block) == g.n:
-            sub, verts = g, None
-        else:
+        if sub is None:  # the TSCC is part of a larger SCC
             sub, verts, _ = g.induced(block)
-        # one forward flow-graph pass feeds both the strong-bridge set and
-        # the auxiliary family
-        bd = flow_bridges(sub, 0)
-        es = set(bd.flow_bridges)
-        es.update(flow_bridges(sub.reverse(), 0).flow_bridges)
-        part = partition_et_minus_es(sub, _es=es)
+        passes = _strong_bridge_passes(sub)
+        bd = next(passes)
+        es = set(bd.flow_bridges).union(next(passes).flow_bridges)
+        part = partition_et_minus_es(sub, _es=es, _view=view)
+        del view  # not held while the auxiliary family is built
         if es:  # without strong bridges their partition is the whole TSCC
-            part = part.refine(_strong_bridge_partition(sub, verify=verify, _bd=bd))
+            part = part.refine(_strong_bridge_partition(sub, bd, verify=verify))
         for piece in part:
             blocks.append(piece if verts is None else [verts[i] for i in piece])
     return Partition(blocks)

@@ -9,6 +9,7 @@ graphs of its SCCs, computed per SCC on the induced subgraph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .graph import DiGraph, Partition, underlying
 from .undirected import bridges_2ecc, three_ecc_classes
@@ -98,25 +99,47 @@ def scc(g: DiGraph) -> SccResult:
     return SccResult(Partition(components), comp_of, components, tuple(cond))
 
 
-def tscc(g: DiGraph) -> Partition:
-    """Twinless strongly connected components.
+def _tscc_parts(g: DiGraph):
+    """Yield (block, sub, verts, view) per TSCC of ``g``; the one TSCC loop.
 
     Per SCC, the blocks are the 2ecc blocks of the underlying undirected
-    graph of the induced subgraph.
+    graph of the induced subgraph.  When a TSCC of two or more vertices is
+    its whole SCC, ``sub`` is that induced subgraph (``g`` itself when
+    ``verts`` is None), ``verts`` maps its vertices back to ``g``, and
+    ``view`` is its underlying graph with the CSR already built.  For any
+    other TSCC the three are None.
     """
-    blocks: list[list[int]] = []
     for members in scc(g).components:
         if len(members) == 1:
-            blocks.append(list(members))
+            yield list(members), None, None, None
             continue
         if len(members) == g.n:
             sub, verts = g, None
         else:
             sub, verts, _ = g.induced(members)
-        _, twoecc = bridges_2ecc(underlying(sub))
+        view = underlying(sub)
+        _, twoecc = bridges_2ecc(view)
+        if len(twoecc) == 1:
+            yield list(members), sub, verts, view
+            continue
         for b in twoecc:
-            blocks.append(b if verts is None else [verts[i] for i in b])
-    return Partition(blocks)
+            yield (b if verts is None else [verts[i] for i in b]), None, None, None
+
+
+def tscc(g: DiGraph, _parts: Optional[list] = None) -> Partition:
+    """Twinless strongly connected components.
+
+    Per SCC, the blocks are the 2ecc blocks of the underlying undirected
+    graph of the induced subgraph.  ``two_etscc`` passes a list as
+    ``_parts`` to receive what ``_tscc_parts`` yields, so that it reuses
+    each TSCC's induced subgraph and underlying view instead of building
+    them again.
+    """
+    parts = _tscc_parts(g)
+    if _parts is not None:
+        _parts.extend(parts)
+        parts = _parts
+    return Partition(block for block, *_ in parts)
 
 
 def twinless_strong_bridges(g: DiGraph) -> tuple[int, ...]:

@@ -186,18 +186,9 @@ def test_edge_resilient_budget_1000_edges(fail):
 
 
 @pytest.mark.parametrize("fail", ["both", "directed", "undirected"])
-def test_each_failure_mode_is_one_two_etscc_call(monkeypatch, fail):
-    calls = {"two_etscc": 0, "tscc": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(orientation, "two_etscc", counted("two_etscc", orientation.two_etscc))
-    monkeypatch.setattr(orientation, "tscc", counted("tscc", orientation.tscc))
+def test_each_failure_mode_is_one_two_etscc_call(calls, fail):
+    calls.watch("two_etscc", orientation)
+    calls.watch("tscc", orientation)
     g = oracles.gen_mixed(10, 10, 10, random.Random(2))
     edge_resilient_blocks(g, fail)
     assert calls == {"two_etscc": 1, "tscc": 0}

@@ -17,7 +17,7 @@ from twinscc.pipeline import (
     two_etscc,
     two_etscc_baseline,
 )
-from twinscc import auxiliary, dominators, oracles, pipeline
+from twinscc import auxiliary, dominators, graph, oracles, pipeline, strong
 
 from named_graphs import bik2, bik3, cyc3, two_triangles
 from test_strong import et_gap_fixture
@@ -249,24 +249,95 @@ def test_only_members_that_can_split_are_analysed(monkeypatch):
     assert seen["strong_bridges"] > 0 and seen["second_level"] > 0
 
 
-def test_two_etscc_without_strong_bridges_skips_the_family(monkeypatch):
-    calls = {"dominator_tree": 0, "build_first_level": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(
-        dominators, "dominator_tree", counted("dominator_tree", dominators.dominator_tree)
-    )
-    for mod in (auxiliary, pipeline):
-        monkeypatch.setattr(
-            mod, "build_first_level", counted("build_first_level", mod.build_first_level)
-        )
+def test_two_etscc_without_strong_bridges_skips_the_family(calls):
+    calls.watch("dominator_tree", dominators)
+    calls.watch("build_first_level", auxiliary, pipeline)
+    calls.watch("underlying", graph, strong, pipeline)
     g = oracles.gen_strongly_connected_fast(1024, 4096, random.Random(1))
     assert two_etscc(g) == Partition([range(g.n)])
-    # one forward and one reverse pass find no strong bridge; nothing more
+    # one forward and one reverse pass find no strong bridge; nothing more,
+    # and partition_et_minus_es reads the underlying view tscc built
+    assert calls == {"dominator_tree": 2, "build_first_level": 0, "underlying": 1}
+
+
+def test_two_escc_without_strong_bridges_skips_the_family(calls):
+    calls.watch("dominator_tree", dominators)
+    calls.watch("build_first_level", auxiliary, pipeline)
+    g = oracles.gen_strongly_connected_fast(1024, 4096, random.Random(1))
+    assert two_escc(g) == Partition([range(g.n)])
+    # the SCC is one 2eSCC: no auxiliary family is built
     assert calls == {"dominator_tree": 2, "build_first_level": 0}
+
+
+@pytest.mark.parametrize("m", [256, 1024, 4096])
+@pytest.mark.parametrize("family", ["strongly_connected_fast", "twinless_bridge_rich"])
+def test_core_families_mid_size_vs_baselines(family, m):
+    gen = getattr(oracles, f"gen_{family}")
+    for seed in (1, 2, 3):
+        g = gen(m // 4, m, random.Random(seed))
+        assert two_escc(g) == two_escc_baseline(g), (family, m, seed)
+        assert two_etscc(g) == two_etscc_baseline(g), (family, m, seed)
+
+
+def _scc_mix(seed: int) -> DiGraph:
+    """SCCs with and without strong bridges, joined by one-way edges."""
+    rng = random.Random(seed)
+    pieces = [
+        oracles.gen_strongly_connected_fast(40, 160, rng),  # no strong bridge
+        oracles.gen_digraph(40, 160, rng, "bridgey"),
+        DiGraph(5, [(i, (i + 1) % 5) for i in range(5)]),  # all strong bridges
+        oracles.gen_strongly_connected_fast(30, 120, rng),
+        oracles.gen_digraph(40, 80, rng, "er"),
+    ]
+    edges, piece_of = [], []
+    for i, p in enumerate(pieces):
+        edges.extend((u + len(piece_of), v + len(piece_of)) for u, v in p.edges)
+        piece_of.extend([i] * p.n)
+    for _ in range(60):  # to later pieces only, so no two pieces share an SCC
+        u, v = sorted(rng.sample(range(len(piece_of)), 2))
+        if piece_of[u] < piece_of[v]:
+            edges.append((u, v))
+    return DiGraph(len(piece_of), edges)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_two_escc_and_two_etscc_on_mixed_sccs_vs_baselines(seed):
+    from twinscc.dominators import strong_bridges
+
+    g = _scc_mix(seed)
+    comps = [c for c in scc(g).components if len(c) > 1]
+    bridged = [bool(strong_bridges(g.induced(c)[0])) for c in comps]
+    assert any(bridged) and not all(bridged)
+    assert two_escc(g) == two_escc_baseline(g)
+    assert two_etscc(g) == two_etscc_baseline(g)
+
+
+def _pendant(base: DiGraph, into: int, out_of: int) -> DiGraph:
+    """``base`` plus a vertex u with ``into`` edges (0, u) and ``out_of``
+    edges (u, 0)."""
+    u = base.n
+    return DiGraph(u + 1, base.edges + ((0, u),) * into + ((u, 0),) * out_of)
+
+
+_CORE_64 = oracles.gen_strongly_connected_fast(64, 256, random.Random(1))
+
+
+@pytest.mark.parametrize(
+    "g, forward",
+    [
+        # the strong bridge (1, 0) shows only in the reverse pass from 0
+        (DiGraph(2, [(0, 1), (0, 1), (1, 0)]), False),
+        # the strong bridge (0, 1) shows only in the forward pass from 0
+        (DiGraph(2, [(1, 0), (1, 0), (0, 1)]), True),
+        # the same on a pendant vertex u of an SCC without strong bridges:
+        # (u, 0) is u's only out-edge, then (0, u) is u's only in-edge
+        (_pendant(_CORE_64, 2, 1), False),
+        (_pendant(_CORE_64, 1, 2), True),
+    ],
+)
+def test_strong_bridge_seen_by_one_pass_only(g, forward):
+    passes = [dominators.flow_bridges(d, 0).flow_bridges for d in (g, g.reverse())]
+    assert [bool(p) for p in passes] == [forward, not forward]
+    assert two_escc(g) == two_escc_baseline(g)
+    assert two_etscc(g) == two_etscc_baseline(g)
+    assert len(two_escc(g)) > 1
