@@ -352,8 +352,8 @@ def _dispatch(args) -> int:
     elif cmd == "aux":
         g = _as_digraph(_load_graph(args.infile))
         lines = []
-        for comp in scc(g).components:
-            sub_g, verts, _ = g.induced(comp)
+        comps = scc(g).components
+        for comp, (sub_g, verts, _) in zip(comps, g.induced_blocks(comps)):
             if len(comp) == 1:
                 lines.append(f"member H_ss r={comp[0]} r2={comp[0]} vertices={comp[0]}:oo edges=")
                 continue

@@ -10,9 +10,16 @@ threads.  Adjacency structures are built lazily and cached, as flat CSR
 arrays (``_csr``).  The graph kernels every layer shares sit next to them:
 one iterative depth-first search over CSR arrays (``_dfs``), which every
 graph search except Tarjan's ``scc`` and the SPQR path search runs on, and
-one union-find (``_find``/``_union``).  Public constructors check their
-input; internal graphs whose endpoints are known to be in range use
-``_trusted``.
+one union-find (``_find``/``_union``).  CSR arrays are built from flat
+integer arrays, never from per-edge tuples.
+
+Public constructors check their input: every endpoint must be in range.
+An edge that already is a tuple of two ``int``s is stored as it is, so
+graphs built from one edge list share its tuples; any other edge is
+unpacked and its endpoints converted with ``int``.  Internal graphs whose
+endpoints are known to be in range use ``_trusted``.  A reverse graph
+shares the adjacency arrays of the graph it reverses and builds its own
+edge tuple only when ``edges`` is first read.
 """
 
 from __future__ import annotations
@@ -41,18 +48,39 @@ def _check_endpoint(v: int, n: int, what: str) -> int:
     return v
 
 
-def _csr(n: int, triples: Sequence[tuple[int, int, int]]):
-    """Compact adjacency from (tail, head, edge id) triples: flat
-    (start, dst, eid) arrays with start of length n+1."""
-    m = len(triples)
+def _checked_edges(
+    edges: Iterable[tuple[int, int]], n: int, what_u: str, what_v: str
+) -> tuple[tuple[int, int], ...]:
+    """The edges as a tuple of (int, int) pairs with both ends in [0, n).
+
+    An edge that already is such a tuple is kept as it is, not copied;
+    any other is unpacked and its ends converted with ``int``.
+    """
+    out = []
+    append = out.append
+    for e in edges:
+        if type(e) is tuple and len(e) == 2:
+            u, v = e
+            if type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n:
+                append(e)
+                continue
+        u, v = e
+        append((_check_endpoint(u, n, what_u), _check_endpoint(v, n, what_v)))
+    return tuple(out)
+
+
+def _csr(n: int, tails: Sequence[int], heads: Sequence[int], eids: Sequence[int]):
+    """Compact adjacency from parallel sequences of tails, heads and edge
+    ids: flat (start, dst, eid) arrays with start of length n+1."""
+    m = len(tails)
     start = array("l", bytes(8 * (n + 2)))
-    for u, _, _ in triples:
+    for u in tails:
         start[u + 2] += 1
     for i in range(2, n + 2):
         start[i] += start[i - 1]
     dst = array("l", bytes(8 * m))
     eid = array("l", bytes(8 * m))
-    for u, v, j in triples:
+    for u, v, j in zip(tails, heads, eids):
         slot = start[u + 1]
         dst[slot] = v
         eid[slot] = j
@@ -119,19 +147,17 @@ class DiGraph:
     ``edges[i]`` is the (tail, head) pair of edge id ``i``.
     """
 
-    __slots__ = ("n", "edges", "_out", "_in")
+    __slots__ = ("n", "edges", "_out", "_in", "_reverse_of")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         n = int(n)
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
         self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(
-            (_check_endpoint(u, n, "tail"), _check_endpoint(v, n, "head"))
-            for u, v in edges
-        )
+        self.edges = _checked_edges(edges, n, "tail", "head")
         self._out = None
         self._in = None
+        self._reverse_of = None
 
     @classmethod
     def _trusted(cls, n: int, edges: tuple[tuple[int, int], ...]) -> "DiGraph":
@@ -141,33 +167,50 @@ class DiGraph:
         g.edges = edges
         g._out = None
         g._in = None
+        g._reverse_of = None
         return g
+
+    def __getattr__(self, name: str):
+        # reached only for an unset slot: a reverse graph's edges, built
+        # when first read
+        if name != "edges" or self._reverse_of is None:
+            raise AttributeError(name)
+        self.edges = tuple((v, u) for u, v in self._reverse_of.edges)
+        return self.edges
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len((self._reverse_of or self).edges)
+
+    def _ends(self) -> tuple[array, array]:
+        return (
+            array("l", [u for u, _ in self.edges]),
+            array("l", [v for _, v in self.edges]),
+        )
 
     def out_csr(self):
         """(start, dst, eid) arrays of outgoing edges."""
         if self._out is None:
-            self._out = _csr(
-                self.n, [(u, v, j) for j, (u, v) in enumerate(self.edges)]
-            )
+            tails, heads = self._ends()
+            self._out = _csr(self.n, tails, heads, range(self.m))
         return self._out
 
     def in_csr(self):
         """(start, src, eid) arrays of incoming edges."""
         if self._in is None:
-            self._in = _csr(
-                self.n, [(v, u, j) for j, (u, v) in enumerate(self.edges)]
-            )
+            tails, heads = self._ends()
+            self._in = _csr(self.n, heads, tails, range(self.m))
         return self._in
 
     def reverse(self) -> "DiGraph":
-        """Reverse digraph; edge ids are preserved."""
-        rev = DiGraph._trusted(self.n, tuple((v, u) for (u, v) in self.edges))
-        rev._out = self._in  # adjacency swaps roles; arrays are immutable
-        rev._in = self._out
+        """Reverse digraph; edge ids are preserved.  It shares this graph's
+        adjacency arrays with roles swapped (they are immutable), and builds
+        its own edge tuple only when ``edges`` is first read."""
+        rev = DiGraph.__new__(DiGraph)
+        rev.n = self.n
+        rev._out = self.in_csr()
+        rev._in = self.out_csr()
+        rev._reverse_of = self
         return rev
 
     def induced(self, vertices: Iterable[int]) -> tuple["DiGraph", list[int], list[int]]:
@@ -175,15 +218,37 @@ class DiGraph:
 
         Returns (subgraph, orig_vertex_of_local, orig_edge_of_local).
         """
-        verts = sorted(set(vertices))
-        local = {v: i for i, v in enumerate(verts)}
-        sub_edges = []
-        orig_eids = []
+        return self.induced_blocks([vertices])[0]
+
+    def induced_blocks(
+        self, blocks: Iterable[Iterable[int]]
+    ) -> list[tuple["DiGraph", list[int], list[int]]]:
+        """``induced`` of each of the disjoint vertex sets ``blocks``, in
+        order, from one pass over the edges for all of them."""
+        n = self.n
+        block_of = [-1] * n
+        local = [0] * n
+        verts_of = []
+        for i, block in enumerate(blocks):
+            verts = sorted(set(block))
+            for j, v in enumerate(verts):
+                v = _check_endpoint(v, n, "vertex")
+                if block_of[v] != -1:
+                    raise GraphError(f"vertex {v} is in two blocks")
+                block_of[v] = i
+                local[v] = j
+            verts_of.append(verts)
+        sub_edges: list[list[tuple[int, int]]] = [[] for _ in verts_of]
+        orig_eids: list[list[int]] = [[] for _ in verts_of]
         for eid, (u, v) in enumerate(self.edges):
-            if u in local and v in local:
-                sub_edges.append((local[u], local[v]))
-                orig_eids.append(eid)
-        return DiGraph._trusted(len(verts), tuple(sub_edges)), verts, orig_eids
+            b = block_of[u]
+            if b != -1 and b == block_of[v]:
+                sub_edges[b].append((local[u], local[v]))
+                orig_eids[b].append(eid)
+        return [
+            (DiGraph._trusted(len(verts), tuple(es)), verts, eids)
+            for verts, es, eids in zip(verts_of, sub_edges, orig_eids)
+        ]
 
     def without_edges(self, eids: Iterable[int]) -> "DiGraph":
         """Copy of the graph with the given edge ids removed (ids shift)."""
@@ -226,14 +291,8 @@ class MixedGraph:
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
         self.n = n
-        self.directed: tuple[tuple[int, int], ...] = tuple(
-            (_check_endpoint(u, n, "tail"), _check_endpoint(v, n, "head"))
-            for u, v in directed
-        )
-        self.undirected: tuple[tuple[int, int], ...] = tuple(
-            (_check_endpoint(a, n, "endpoint"), _check_endpoint(b, n, "endpoint"))
-            for a, b in undirected
-        )
+        self.directed = _checked_edges(directed, n, "tail", "head")
+        self.undirected = _checked_edges(undirected, n, "endpoint", "endpoint")
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -260,10 +319,7 @@ class UGraph:
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
         self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(
-            (_check_endpoint(a, n, "endpoint"), _check_endpoint(b, n, "endpoint"))
-            for a, b in edges
-        )
+        self.edges = _checked_edges(edges, n, "endpoint", "endpoint")
         self._adj: Optional[list[list[tuple[int, int]]]] = None
         self._csr = None
 
@@ -295,13 +351,16 @@ class UGraph:
     def csr(self):
         """(start, dst, eid) arrays; every non-loop edge appears twice."""
         if self._csr is None:
-            triples = []
-            for eid, (a, b) in enumerate(self.edges):
-                if a == b:
-                    continue
-                triples.append((a, b, eid))
-                triples.append((b, a, eid))
-            self._csr = _csr(self.n, triples)
+            ends = array("l")  # a, b of each non-loop edge in turn
+            eids = array("l")
+            for eid, e in enumerate(self.edges):
+                if e[0] != e[1]:
+                    ends.extend(e)
+                    eids.extend((eid, eid))
+            others = array("l", ends)
+            others[0::2] = ends[1::2]
+            others[1::2] = ends[0::2]
+            self._csr = _csr(self.n, ends, others, eids)
         return self._csr
 
     def __eq__(self, other: object) -> bool:

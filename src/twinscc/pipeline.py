@@ -40,7 +40,13 @@ from .graph import (
 )
 from .undirected import bridges_2ecc, three_ecc_cactus
 from .dominators import _strongly_connected, flow_bridges, strong_bridges
-from .strong import scc, tscc, twinless_strong_bridges
+from .strong import (
+    _scc_subgraphs,
+    _tscc_graphs,
+    scc,
+    tscc,
+    twinless_strong_bridges,
+)
 from .auxiliary import (
     AuxGraph,
     build_first_level,
@@ -195,19 +201,13 @@ def two_escc(g: DiGraph) -> Partition:
     ordinary vertex r contributes {r} without building its second level,
     whose oo-sets are exactly {r}.
     """
-    blocks: list[list[int]] = []
-    for comp in scc(g).components:
-        if len(comp) == 1:
-            blocks.append(list(comp))
-            continue
-        if len(comp) == g.n:
-            sub, verts = g, None
-        else:
-            sub, verts, _ = g.induced(comp)
+    components = scc(g).components
+    blocks = [list(comp) for comp in components if len(comp) == 1]
+    for sub, verts, _ in _scc_subgraphs(g, components):
         passes = _strong_bridge_passes(sub)
         bd = next(passes)
         if not bd.flow_bridges and not next(passes).flow_bridges:
-            blocks.append(list(comp))
+            blocks.append(list(range(sub.n)) if verts is None else verts)
             continue
         for h in _splittable_family(sub, bd):
             if h.oo:
@@ -219,25 +219,22 @@ def two_escc(g: DiGraph) -> Partition:
 
 def two_etscc(g: DiGraph, verify: bool = False) -> Partition:
     """2-edge twinless strongly connected components."""
-    blocks: list[list[int]] = []
     parts: list = []
-    tscc(g, _parts=parts)
-    while parts:  # popped, so each TSCC's view is freed once analysed
-        block, sub, verts, view = parts.pop()
-        if len(block) == 1:
-            blocks.append(block)
-            continue
-        if sub is None:  # the TSCC is part of a larger SCC
-            sub, verts, _ = g.induced(block)
-        passes = _strong_bridge_passes(sub)
-        bd = next(passes)
-        es = set(bd.flow_bridges).union(next(passes).flow_bridges)
-        part = partition_et_minus_es(sub, _es=es, _view=view)
-        del view  # not held while the auxiliary family is built
-        if es:  # without strong bridges their partition is the whole TSCC
-            part = part.refine(_strong_bridge_partition(sub, bd, verify=verify))
-        for piece in part:
-            blocks.append(piece if verts is None else [verts[i] for i in piece])
+    blocks = [list(b) for b in tscc(g, _parts=parts) if len(b) == 1]
+    todo: list = []
+    while parts:  # popped, so each view is freed once analysed
+        todo.extend(_tscc_graphs(parts.pop(), 2))
+        while todo:
+            sub, verts, _, view = todo.pop()
+            passes = _strong_bridge_passes(sub)
+            bd = next(passes)
+            es = set(bd.flow_bridges).union(next(passes).flow_bridges)
+            part = partition_et_minus_es(sub, _es=es, _view=view)
+            del view  # not held while the auxiliary family is built
+            if es:  # without strong bridges their partition is the whole TSCC
+                part = part.refine(_strong_bridge_partition(sub, bd, verify=verify))
+            for piece in part:
+                blocks.append(piece if verts is None else [verts[i] for i in piece])
     return Partition(blocks)
 
 

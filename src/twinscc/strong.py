@@ -99,31 +99,58 @@ def scc(g: DiGraph) -> SccResult:
     return SccResult(Partition(components), comp_of, components, tuple(cond))
 
 
-def _tscc_parts(g: DiGraph):
-    """Yield (block, sub, verts, view) per TSCC of ``g``; the one TSCC loop.
+def _scc_subgraphs(g: DiGraph, components) -> list:
+    """(sub, verts, eids) per component of two or more vertices, in order:
+    ``induced`` of each, from one pass over the edges, or ``g`` itself
+    with ``verts`` and ``eids`` None when the component is all of ``g``."""
+    big = [c for c in components if len(c) > 1]
+    if len(big) == 1 and len(big[0]) == g.n:
+        return [(g, None, None)]
+    return g.induced_blocks(big)
 
-    Per SCC, the blocks are the 2ecc blocks of the underlying undirected
-    graph of the induced subgraph.  When a TSCC of two or more vertices is
-    its whole SCC, ``sub`` is that induced subgraph (``g`` itself when
-    ``verts`` is None), ``verts`` maps its vertices back to ``g``, and
-    ``view`` is its underlying graph with the CSR already built.  For any
-    other TSCC the three are None.
+
+def _scc_parts(g: DiGraph):
+    """Yield (tsccs, sub, verts, eids, view) per SCC of ``g``; the one TSCC
+    loop.
+
+    ``sub`` is the SCC's induced subgraph (see ``_scc_subgraphs``: ``verts``
+    and ``eids`` map its vertices and edges back to ``g``), ``view`` its
+    underlying graph with the CSR already built, and ``tsccs`` the SCC's
+    TSCCs in ``sub``'s ids: the 2ecc blocks of ``view``.  A one-vertex SCC
+    {v} yields (((0,),), None, [v], None, None).
     """
-    for members in scc(g).components:
+    sr = scc(g)
+    subs = iter(_scc_subgraphs(g, sr.components))
+    for members in sr.components:
         if len(members) == 1:
-            yield list(members), None, None, None
+            yield ((0,),), None, list(members), None, None
             continue
-        if len(members) == g.n:
-            sub, verts = g, None
-        else:
-            sub, verts, _ = g.induced(members)
+        sub, verts, eids = next(subs)
         view = underlying(sub)
         _, twoecc = bridges_2ecc(view)
-        if len(twoecc) == 1:
-            yield list(members), sub, verts, view
-            continue
-        for b in twoecc:
-            yield (b if verts is None else [verts[i] for i in b]), None, None, None
+        yield twoecc.blocks, sub, verts, eids, view
+
+
+def _tscc_graphs(part, min_size: int):
+    """Yield (sub, verts, eids, view) per TSCC of at least ``min_size``
+    vertices of one ``_scc_parts`` part: its induced subgraph, with the
+    maps back to ``g`` as there.  ``view`` is the SCC's view when the TSCC
+    is its whole SCC, else None; the other TSCCs of an SCC are split off
+    its subgraph in one pass over its edges."""
+    tsccs, sub, verts, eids, view = part
+    if len(tsccs) == 1:
+        if len(tsccs[0]) >= min_size:
+            yield sub, verts, eids, view
+        return
+    for tsub, tverts, teids in sub.induced_blocks(
+        b for b in tsccs if len(b) >= min_size
+    ):
+        yield (
+            tsub,
+            tverts if verts is None else [verts[i] for i in tverts],
+            teids if eids is None else [eids[i] for i in teids],
+            None,
+        )
 
 
 def tscc(g: DiGraph, _parts: Optional[list] = None) -> Partition:
@@ -131,15 +158,19 @@ def tscc(g: DiGraph, _parts: Optional[list] = None) -> Partition:
 
     Per SCC, the blocks are the 2ecc blocks of the underlying undirected
     graph of the induced subgraph.  ``two_etscc`` passes a list as
-    ``_parts`` to receive what ``_tscc_parts`` yields, so that it reuses
-    each TSCC's induced subgraph and underlying view instead of building
+    ``_parts`` to receive what ``_scc_parts`` yields, so that it reuses
+    each SCC's induced subgraph and underlying view instead of building
     them again.
     """
-    parts = _tscc_parts(g)
+    parts = _scc_parts(g)
     if _parts is not None:
         _parts.extend(parts)
         parts = _parts
-    return Partition(block for block, *_ in parts)
+    return Partition(
+        b if verts is None else [verts[i] for i in b]
+        for tsccs, _, verts, _, _ in parts
+        for b in tsccs
+    )
 
 
 def twinless_strong_bridges(g: DiGraph) -> tuple[int, ...]:
@@ -150,15 +181,15 @@ def twinless_strong_bridges(g: DiGraph) -> tuple[int, ...]:
     different 3-edge-connected classes.
     """
     result: set[int] = set()
-    for block in tscc(g):
-        if len(block) < 3:
-            continue
-        sub, _, orig_eid = g.induced(block)
-        for e in strong_bridges(sub):
-            result.add(orig_eid[e])
-        view = underlying(sub)
-        cls = three_ecc_classes(view).block_index()
-        for i, (a, b) in enumerate(view.edges):
-            if len(view.origins[i]) == 1 and cls[a] != cls[b]:
-                result.add(orig_eid[view.origins[i][0]])
+    for part in _scc_parts(g):
+        for sub, _, eids, view in _tscc_graphs(part, 3):
+            orig_eid = range(g.m) if eids is None else eids
+            for e in strong_bridges(sub):
+                result.add(orig_eid[e])
+            if view is None:
+                view = underlying(sub)
+            cls = three_ecc_classes(view).block_index()
+            for i, (a, b) in enumerate(view.edges):
+                if len(view.origins[i]) == 1 and cls[a] != cls[b]:
+                    result.add(orig_eid[view.origins[i][0]])
     return tuple(sorted(result))

@@ -12,13 +12,9 @@ parallel pair is never a bridge) and self-loops are ignored.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .graph import Partition, PreconditionError, UGraph, _dfs
-
-_COVER_SEED = 0x3ECC_CAC7
-_COVER_BITS = 127
 
 
 def connected_components(g: UGraph) -> Partition:
@@ -137,14 +133,27 @@ def biconnected(g: UGraph) -> BlockForest:
 # ---------------------------------------------------------------------------
 # 3-edge-connected components and their cactus.
 #
-# For a connected 2-edge-connected multigraph every 2-edge cut is, with
-# respect to a DFS tree, either (tree edge t, back edge b) with b the unique
-# back edge covering t, or (t1, t2) with identical covering back-edge sets.
-# Cover sets are compared by xor-hashing random 127-bit labels over subtree
-# aggregates (deterministic under the fixed seed; validated against the
-# brute-force oracle in the test suite).  The effective cut sides form a
-# laminar family of preorder-interval unions, so two vertices are
-# 3-edge-connected iff the innermost side containing them is the same.
+# Tsin's absorb-eject algorithm (Tsin, "Yet another optimal algorithm for
+# 3-edge-connectivity", JDA 2009; Norouzi & Tsin, "A simple 3-edge connected
+# component algorithm revisited", IPL 2014), deterministic and linear.  It
+# transforms the graph while it backtracks over one depth-first tree:
+#
+# * a vertex w *absorbs* a vertex x it is found 3-edge-connected to, i.e.
+#   contracts x into itself; sigma(w), the vertices contracted into w so
+#   far, is recorded by pointing each absorbed x at w (``owner``);
+# * a child u left with degree 2 (its tree edge and one other edge form a
+#   2-edge cut) is *ejected*: sigma(u) is a final class, and u's two edges
+#   are lifted into one edge that bypasses it.
+#
+# Each vertex w keeps a w-path (``nxt``): the tree path below w, of not yet
+# absorbed vertices, down to where the back edge giving low[w] leaves.  An
+# outgoing back edge that lowers low[w], or a child u whose low point is
+# lower, makes w absorb its whole w-path (u's path then continues it);
+# otherwise w absorbs u's whole path.  An incoming back edge from a
+# descendant d makes w absorb its w-path down to the ancestor of d on it.
+# ``deg`` counts a vertex's edges in the transformed graph.  Since every
+# vertex's state is final once its subtree is, one sweep in reverse
+# preorder does the work of the recursive formulation.
 # ---------------------------------------------------------------------------
 
 
@@ -156,96 +165,68 @@ def three_ecc_classes(g: UGraph) -> Partition:
     if n == 1:
         return Partition([[0]])
     start, dst, eids = g.csr()
-    pre, order, parent, parent_eid = _dfs(n, start, dst, eids, range(n))
-    if sum(1 for v in range(n) if parent[v] == -1) != 1:
+    pre, order, parent, parent_eid = _dfs(n, start, dst, eids, (0,))
+    if len(order) != n:
         raise PreconditionError("graph is not connected")
 
-    rng = random.Random(_COVER_SEED)
-    xormark = [0] * n
-    cnt_low = [0] * n
-    cnt_up = [0] * n
-    label_owner: dict[int, int] = {}
-    seen_eid: set[int] = set()
-    for v in order:
-        for j in range(start[v], start[v + 1]):
-            w, eid = dst[j], eids[j]
-            if eid == parent_eid[v] or eid in seen_eid or eid == parent_eid[w]:
+    low = pre[:]
+    nd = [1] * n  # subtree sizes
+    deg = [0] * n
+    nxt = [-1] * n  # next vertex down the w-path, -1 at its end
+    owner = [-1] * n  # the vertex that absorbed v, -1 if none did
+    for w in reversed(order):
+        pw = pre[w]
+        pe = parent_eid[w]
+        lw = pw
+        dw = 0
+        for j in range(start[w], start[w + 1]):
+            u = dst[j]
+            e = eids[j]
+            dw += 1
+            if e == pe:
                 continue
-            seen_eid.add(eid)
-            lo, hi = (v, w) if pre[v] > pre[w] else (w, v)
-            h = rng.getrandbits(_COVER_BITS) | 1
-            label_owner[h] = eid
-            xormark[lo] ^= h
-            xormark[hi] ^= h
-            cnt_low[lo] += 1
-            cnt_up[hi] += 1
+            pu = pre[u]
+            if pu > pw and parent_eid[u] == e:  # tree edge to the child u
+                if low[u] >= pu:
+                    raise PreconditionError("graph is not 2-edge-connected")
+                nd[w] += nd[u]
+                head = nxt[u] if deg[u] == 2 else u  # eject sigma(u)
+                if lw <= low[u]:  # absorb the u-path
+                    x = head
+                    head = nxt[w]
+                else:  # absorb the w-path; the u-path continues it
+                    lw = low[u]
+                    x = nxt[w]
+                while x != -1:
+                    dw += deg[x] - 2
+                    owner[x] = w
+                    x = nxt[x]
+                nxt[w] = head
+            elif pu < pw:  # outgoing back edge
+                if pu < lw:  # absorb the w-path
+                    lw = pu
+                    x = nxt[w]
+                    while x != -1:
+                        dw += deg[x] - 2
+                        owner[x] = w
+                        x = nxt[x]
+                    nxt[w] = -1
+            else:  # incoming back edge from the descendant u: now a loop
+                dw -= 2
+                x = nxt[w]
+                while x != -1 and pre[x] <= pu < pre[x] + nd[x]:
+                    dw += deg[x] - 2
+                    owner[x] = w
+                    x = nxt[x]
+                nxt[w] = x
+        low[w] = lw
+        deg[w] = dw
 
-    cover_hash = list(xormark)
-    cover_cnt = [cnt_low[v] - cnt_up[v] for v in range(n)]
-    size = [1] * n
-    for v in reversed(order):
-        p = parent[v]
-        if p != -1:
-            cover_hash[p] ^= cover_hash[v]
-            cover_cnt[p] += cover_cnt[v]
-            size[p] += size[v]
-    for v in order:
-        if parent[v] != -1 and cover_cnt[v] == 0:
-            raise PreconditionError("graph is not 2-edge-connected")
-
-    # cut sides as unions of preorder segments
-    sides: dict[tuple[tuple[int, int], ...], int] = {}
-
-    def add_side(segs: list[tuple[int, int]]) -> None:
-        key = tuple((l, r) for l, r in segs if r > l)
-        if key and key not in sides:
-            sides[key] = len(sides)
-
-    groups: dict[int, list[int]] = {}
-    for v in order:
-        if parent[v] == -1:
-            continue
-        if cover_cnt[v] == 1:
-            if cover_hash[v] not in label_owner:
-                raise AssertionError("cover-hash bookkeeping failed")
-            add_side([(pre[v], pre[v] + size[v])])
-        else:
-            groups.setdefault(cover_hash[v], []).append(v)
-    for vs in groups.values():
-        if len(vs) < 2:
-            continue
-        vs.sort(key=lambda v: pre[v])
-        for a, b in zip(vs, vs[1:]):
-            if not pre[a] < pre[b] < pre[a] + size[a]:
-                raise AssertionError("equal-cover tree edges are not nested")
-            add_side(
-                [(pre[a], pre[b]), (pre[b] + size[b], pre[a] + size[a])]
-            )
-
-    # innermost-side sweep over preorder positions; segments opening at the
-    # same position are pushed outermost first: by segment end, then by the
-    # side's total span (of two nested sides sharing a segment, the outer
-    # one is the larger)
-    opens: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
-    closes: list[list[int]] = [[] for _ in range(n + 1)]
-    for segs, sid in sides.items():
-        span = sum(r - l for l, r in segs)
-        for l, r in segs:
-            opens[l].append((r, span, sid))
-            closes[r].append(sid)
-    stack: list[int] = []
-    label = [-1] * n
-    for p in range(n):
-        if closes[p]:
-            pending = set(closes[p])
-            while pending and stack and stack[-1] in pending:
-                pending.discard(stack.pop())
-            if pending:
-                raise AssertionError("cut sides are not laminar")
-        for _, _, sid in sorted(opens[p], reverse=True):
-            stack.append(sid)
-        label[p] = stack[-1] if stack else -1
-    return Partition.from_labels({order[p]: label[p] for p in range(n)})
+    label = [0] * n
+    for v in order:  # an owner precedes the vertices it absorbed
+        o = owner[v]
+        label[v] = v if o == -1 else label[o]
+    return Partition.from_labels({v: label[v] for v in range(n)})
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from twinscc.graph import (
     parse_graph,
     refines,
     render_graph,
+    UGraph,
     underlying,
 )
 
@@ -27,6 +28,65 @@ def test_digraph_rejects_out_of_range():
         DiGraph(2, [(0, 5)])
     with pytest.raises(GraphError):
         DiGraph(-1)
+
+
+# the stored edges of each checked constructor, by name
+_CONSTRUCTORS = {
+    "directed": lambda n, es: DiGraph(n, es).edges,
+    "undirected": lambda n, es: UGraph(n, es).edges,
+    "mixed-directed": lambda n, es: MixedGraph(n, es, []).directed,
+    "mixed-undirected": lambda n, es: MixedGraph(n, [], es).undirected,
+}
+
+
+@pytest.mark.parametrize("edges_of", _CONSTRUCTORS.values(), ids=_CONSTRUCTORS)
+def test_constructor_keeps_canonical_edge_tuples(edges_of):
+    edges = [(0, 1), (1, 2), (2, 0), (1, 1)]
+    stored = edges_of(3, edges)
+    assert stored == tuple(edges)
+    assert all(s is e for s, e in zip(stored, edges))
+
+
+@pytest.mark.parametrize("edges_of", _CONSTRUCTORS.values(), ids=_CONSTRUCTORS)
+def test_constructor_converts_other_edge_forms(edges_of):
+    class Index(int):
+        pass
+
+    stored = edges_of(3, [[0, 1], (True, 2), (Index(2), 0), iter((1, 0))])
+    assert stored == ((0, 1), (1, 2), (2, 0), (1, 0))
+    assert all(type(e) is tuple and all(type(v) is int for v in e) for e in stored)
+    for bad in [(0, 1, 2)], [(0,)], [[0, 1, 2]]:
+        with pytest.raises(ValueError, match="values to unpack"):
+            edges_of(3, bad)
+
+
+@pytest.mark.parametrize("edges_of", _CONSTRUCTORS.values(), ids=_CONSTRUCTORS)
+def test_constructor_rejects_out_of_range_endpoints(edges_of):
+    for bad in (3, 0), (0, 3), (-1, 0), (0, -1), [0, 7], (True, 5):
+        with pytest.raises(GraphError, match="out of range"):
+            edges_of(3, [(0, 1), bad])
+
+
+def test_induced_blocks_match_induced(rng):
+    g = DiGraph(12, [(rng.randrange(12), rng.randrange(12)) for _ in range(40)])
+    verts = list(range(12))
+    rng.shuffle(verts)
+    blocks = [verts[:5], verts[5:6], verts[6:11]]
+    assert g.induced_blocks(blocks) == [g.induced(b) for b in blocks]
+    with pytest.raises(GraphError):
+        g.induced_blocks([[0, 1], [1, 2]])
+    with pytest.raises(GraphError):
+        g.induced([0, 12])
+
+
+def test_reverse_shares_adjacency_and_reverses_edges():
+    g = DiGraph(3, [(0, 1), (1, 2), (1, 2)])
+    rev = g.reverse()
+    assert rev.out_csr() is g.in_csr() and rev.in_csr() is g.out_csr()
+    assert rev.m == 3
+    assert rev.edges == ((1, 0), (2, 1), (2, 1))
+    assert rev.reverse().edges == g.edges
+    assert rev == DiGraph(3, [(1, 0), (2, 1), (2, 1)])
 
 
 def test_underlying_twin_pair_collapses():

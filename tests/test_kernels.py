@@ -55,6 +55,22 @@ def test_no_nested_find_outside_oracles():
                 assert "find" not in nested, (name, fn.name)
 
 
+def test_no_fast_path_module_imports_random():
+    # every result is deterministic: randomness is left to the oracles'
+    # generators, `twinscc gen` and the off-path cutfilter
+    exempt = {"oracles", "cli", "cutfilter"}
+    for name, tree in _module_trees():
+        if name in exempt:
+            continue
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module.split(".")[0])
+        assert "random" not in imported, name
+
+
 def _ladder(k: int) -> list[tuple[int, int]]:
     # top vertex 2i, bottom vertex 2i+1: rungs, then the two rails
     edges = [(2 * i, 2 * i + 1) for i in range(k)]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 from twinscc.graph import DiGraph, Partition, refines
 from twinscc.strong import scc, tscc, twinless_strong_bridges
 from twinscc import oracles
@@ -98,3 +100,69 @@ def test_et_gap_fixture():
     et = set(twinless_strong_bridges(g))
     assert et == set(oracles.oracle_twinless_strong_bridges(g))
     assert gap_eid in et and gap_eid not in es
+
+
+def test_twinless_strong_bridges_builds_one_view_per_tscc(calls):
+    from twinscc import graph, strong
+
+    calls.watch("underlying", graph, strong)
+    calls.watch("induced", graph.DiGraph)
+    g = oracles.gen_strongly_connected_fast(256, 1024, random.Random(1))
+    twinless_strong_bridges(g)
+    assert calls == {"underlying": 1, "induced": 0}
+    assert len(tscc(g)) == 1
+
+
+class _CountingEdges(tuple):
+    """An edge tuple that counts every edge read from it."""
+
+    def __init__(self, edges):
+        self.reads = 0
+
+    def __iter__(self):
+        for e in tuple.__iter__(self):
+            self.reads += 1
+            yield e
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def _triangle_chain(k: int) -> list[tuple[int, int]]:
+    # k directed triangles, each joined to the next by one edge: k SCCs
+    edges = []
+    for i in range(3 * k, 0, -3):
+        a = i - 3
+        edges += [(a, a + 1), (a + 1, a + 2), (a + 2, a)]
+        if i < 3 * k:
+            edges.append((a + 2, a + 3))
+    return edges
+
+
+def _twin_joined_triangles(k: int) -> list[tuple[int, int]]:
+    # k directed triangles, each joined to the next by a twin pair: one
+    # SCC whose underlying graph has a bridge per pair, so k TSCCs
+    edges = []
+    for i in range(k):
+        a = 3 * i
+        edges += [(a, a + 1), (a + 1, a + 2), (a + 2, a)]
+        if i + 1 < k:
+            edges += [(a, a + 3), (a + 3, a)]
+    return edges
+
+
+def test_many_sccs_and_tsccs_read_the_edges_a_constant_number_of_times():
+    # building one induced subgraph per SCC or TSCC by scanning all of g
+    # reads about k * m edges; splitting them off in one pass reads O(m)
+    from twinscc.pipeline import two_escc, two_etscc
+
+    for shape in (_triangle_chain, _twin_joined_triangles):
+        for k in (100, 300):
+            edges = _CountingEdges(shape(k))
+            g = DiGraph._trusted(3 * k, edges)
+            assert len(tscc(g)) == k
+            assert two_etscc(g) == Partition.singletons(range(3 * k))
+            assert two_escc(g) == Partition.singletons(range(3 * k))
+            assert len(twinless_strong_bridges(g)) == 3 * k  # the triangles
+            assert edges.reads <= 20 * g.m, (shape.__name__, k, edges.reads / g.m)

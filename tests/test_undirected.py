@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from twinscc.graph import Partition, PreconditionError, UGraph
+from twinscc.graph import Partition, PreconditionError, UGraph, underlying
+from twinscc.strong import tscc
 from twinscc.undirected import (
     biconnected,
     bridges_2ecc,
@@ -17,6 +18,7 @@ from twinscc.undirected import (
 from twinscc import oracles
 
 from named_graphs import c4_ugraph, k4_ugraph, shared_triangles_ugraph
+from three_ecc_reference import three_ecc_blocks
 
 
 def test_triangle_no_bridges():
@@ -182,3 +184,67 @@ def test_three_ecc_nested_sides_sharing_a_segment():
         rng.shuffle(relabeled)
         h = UGraph(13, relabeled)
         assert three_ecc_classes(h) == oracles.oracle_3ecc(h), relabeled
+
+
+def _core_view(gen, m: int) -> tuple[int, list[tuple[int, int]]]:
+    # the underlying graph of the largest TSCC of a core benchmark family
+    g = gen(m // 4, m, random.Random(m))
+    sub = g.induced(max(tscc(g), key=len))[0]
+    view = underlying(sub)
+    return view.n, list(view.edges)
+
+
+def _ladder_with_parallel_rungs(k: int, rng: random.Random):
+    # top vertex 2i, bottom vertex 2i+1; about a third of the rungs doubled
+    edges = [(2 * i, 2 * i + 1) for i in range(k)]
+    edges += [(2 * i, 2 * i + 1) for i in range(k) if rng.random() < 0.35]
+    edges += [(2 * i, 2 * i + 2) for i in range(k - 1)]
+    edges += [(2 * i + 1, 2 * i + 3) for i in range(k - 1)]
+    return 2 * k, edges
+
+
+def _nested_two_cuts(steps: int, rng: random.Random):
+    # from a triple edge, each step subdivides an edge, adds a path of
+    # length two parallel to one, or hangs a vertex on a doubled edge: every
+    # new vertex sits behind 2-edge cuts nested inside the earlier ones
+    edges = [(0, 1)] * 3
+    n = 2
+    for _ in range(steps):
+        i = rng.randrange(len(edges))
+        a, b = edges[i]
+        kind = rng.randrange(3)
+        if kind == 0:
+            edges[i] = (a, n)
+            edges.append((n, b))
+        elif kind == 1:
+            edges += [(a, n), (n, b)]
+        else:
+            edges += [(a, n), (a, n)]
+        n += 1
+    return n, edges
+
+
+def test_three_ecc_mid_size_vs_quadratic_reference():
+    rng = random.Random(11)
+    cases = {
+        "sc-256": _core_view(oracles.gen_strongly_connected_fast, 256),
+        "sc-1024": _core_view(oracles.gen_strongly_connected_fast, 1024),
+        "tbr-256": _core_view(oracles.gen_twinless_bridge_rich, 256),
+        "tbr-1024": _core_view(oracles.gen_twinless_bridge_rich, 1024),
+        "ladder-40": _ladder_with_parallel_rungs(40, rng),
+        "ladder-300": _ladder_with_parallel_rungs(300, rng),
+        "nested-80": _nested_two_cuts(80, rng),
+        "nested-600": _nested_two_cuts(600, rng),
+    }
+    for name, (n, edges) in cases.items():
+        assert 100 <= len(edges) <= 1000 + n, (name, len(edges))
+        want = three_ecc_blocks(n, edges)
+        assert 1 < len(want) < n or name.startswith("sc"), (name, len(want))
+        for _ in range(3):  # relabelled, so the DFS takes other routes
+            perm = list(range(n))
+            rng.shuffle(perm)
+            moved = [(perm[b], perm[a]) if rng.random() < 0.5 else (perm[a], perm[b])
+                     for a, b in edges]
+            rng.shuffle(moved)
+            got = three_ecc_classes(UGraph(n, moved))
+            assert got == Partition([[perm[v] for v in b] for b in want]), name
