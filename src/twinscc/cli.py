@@ -31,7 +31,7 @@ from .graph import (
     underlying,
 )
 from .undirected import three_ecc_cactus
-from .dominators import dominator_tree, flow_bridges
+from .dominators import flow_bridges
 from .strong import scc, tscc, twinless_strong_bridges
 from .auxiliary import build_final_family
 from .spqr import marked_veb, spqr
@@ -304,8 +304,8 @@ def _dispatch(args) -> int:
         _emit(args, _edges_text(g, eids, args.json))
     elif cmd == "dominators":
         g = _as_digraph(_load_graph(args.infile))
-        dt = dominator_tree(g, args.source)
         bd = flow_bridges(g, args.source)
+        dt = bd.dom
         lines = [f"idom {v} {dt.idom[v]}" for v in range(g.n) if v != args.source]
         lines += [f"bridge {e} {g.edges[e][0]} {g.edges[e][1]}" for e in bd.flow_bridges]
         if args.check_oracle:

@@ -9,45 +9,69 @@ one per marked vertex plus T(s).
 An edge of a strongly connected digraph is a strong bridge iff it is a
 bridge of the flow graph from an arbitrary fixed source or its reversal is
 one of the reverse flow graph (or both).
+
+``dominator_tree`` is the simple link-eval Lengauer-Tarjan algorithm.  Its
+working lists are indexed by DFS preorder number, its eval is one loop
+with path halving, and its buckets are one linked list over two flat
+lists.  ``DomTree`` keeps ``idom`` as a tuple and ``pre``/``size``/
+``order`` as flat integer arrays; its children exist only as a transient
+CSR while ``order`` is built.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from typing import Sequence
 
 from .graph import DiGraph, PreconditionError, _dfs
 
 
 class DomTree:
-    """Immediate-dominator tree of a flow graph with O(1) ancestor queries."""
+    """Immediate-dominator tree of a flow graph with O(1) ancestor queries.
 
-    __slots__ = ("s", "idom", "children", "pre", "size", "order")
+    ``idom[v]`` is v's immediate dominator (-1 for the source and for
+    vertices without one).  ``order`` lists the tree in preorder, children
+    by ascending vertex id; ``pre[v]`` is v's place in it and ``size[v]``
+    the size of v's subtree.
+    """
 
-    def __init__(self, s: int, idom: list[int], n: int):
+    __slots__ = ("s", "idom", "pre", "size", "order")
+
+    def __init__(self, s: int, idom: Sequence[int], n: int):
         self.s = s
         self.idom: tuple[int, ...] = tuple(idom)
-        children: list[list[int]] = [[] for _ in range(n)]
+        idom = self.idom
+        # children as one CSR counted by idom, each run in descending id
+        # order so that the stack pops them ascending
+        start = [0] * (n + 1)
         for v in range(n):
             if v != s and idom[v] >= 0:
-                children[idom[v]].append(v)
-        self.children: tuple[tuple[int, ...], ...] = tuple(tuple(c) for c in children)
-        pre = [-1] * n
-        size = [1] * n
-        order: list[int] = []
+                start[idom[v]] += 1
+        for v in range(n):
+            start[v + 1] += start[v]
+        kids = [0] * start[n]
+        for v in range(n):
+            p = idom[v]
+            if v != s and p >= 0:
+                start[p] -= 1
+                kids[start[p]] = v
+        pre = array("l", bytes(8 * n))
+        size = array("l", [1]) * n
+        order = array("l")
         stack = [s]
         while stack:
             v = stack.pop()
             pre[v] = len(order)
             order.append(v)
-            for c in reversed(self.children[v]):
-                stack.append(c)
+            stack.extend(kids[start[v] : start[v + 1]])
         for v in reversed(order):
-            p = self.idom[v]
+            p = idom[v]
             if v != s and p >= 0:
                 size[p] += size[v]
-        self.pre: tuple[int, ...] = tuple(pre)
-        self.size: tuple[int, ...] = tuple(size)
-        self.order: tuple[int, ...] = tuple(order)
+        self.pre = pre
+        self.size = size
+        self.order = order
 
     def dominates(self, u: int, v: int) -> bool:
         """True iff u is an ancestor of v in the tree (u dominates v)."""
@@ -55,7 +79,19 @@ class DomTree:
 
 
 def dominator_tree(g: DiGraph, s: int) -> DomTree:
-    """Lengauer-Tarjan (simple link-eval with path compression).
+    """Lengauer-Tarjan, simple link-eval version (TOPLAS 1979).
+
+    Everything is indexed by DFS preorder number, so vertex ids are read
+    only to walk the in-edges and to write ``idom``.  Vertices are
+    processed in decreasing preorder; each one is linked under its DFS
+    parent once its semidominator is known.  An in-edge from a lower
+    preorder number comes from a vertex not linked yet, whose eval is
+    itself.  Eval walks up the link forest with path halving, keeping the
+    vertex of least semidominator seen; a vertex is always linked under
+    the root of its own tree, so eval is a union-find find and path
+    halving gives the same O(m log n) bound as full compression (Tarjan
+    & van Leeuwen, JACM 1984).  Buckets of vertices by semidominator are
+    one linked list in ``bhead``/``bnext``.
 
     Requires every vertex to be reachable from ``s``.
     """
@@ -70,51 +106,64 @@ def dominator_tree(g: DiGraph, s: int) -> DomTree:
         missing = next(v for v in range(n) if dfn[v] == -1)
         raise PreconditionError(f"vertex {missing} unreachable from source {s}")
 
-    sdom = dfn[:]  # semidominator as a dfs number
-    ancestor = [-1] * n
-    label = list(range(n))
-    idom = [-1] * n
-    bucket: list[list[int]] = [[] for _ in range(n)]
-
-    def evaluate(v: int) -> int:
-        if ancestor[v] == -1:
-            return v
-        # path-compress onto the forest root, keeping min-sdom labels
-        path = []
-        u = v
-        while ancestor[ancestor[u]] != -1:
-            path.append(u)
-            u = ancestor[u]
-        for x in reversed(path):
-            a = ancestor[x]
-            if sdom[label[a]] < sdom[label[x]]:
-                label[x] = label[a]
-            ancestor[x] = ancestor[a]
-        return label[v]
-
+    semi = list(range(n))
+    label = semi[:]
+    anc = [-1] * n  # link-forest parent; -1 for a root (not linked yet)
+    dom = [0] * n
+    bhead = [-1] * n
+    bnext = [-1] * n
     for i in range(n - 1, 0, -1):
         w = verts[i]
-        sw = sdom[w]
-        for j in range(istart[w], istart[w + 1]):
-            u = isrc[j]
-            if u == w or dfn[u] == -1:
-                continue
-            cand = sdom[evaluate(u)]
-            if cand < sw:
-                sw = cand
-        sdom[w] = sw
-        bucket[verts[sw]].append(w)
-        p = par[w]
-        ancestor[w] = p
-        for v in bucket[p]:
-            u = evaluate(v)
-            idom[v] = u if sdom[u] < sdom[v] else p
-        bucket[p].clear()
+        sw = i
+        for x in isrc[istart[w] : istart[w + 1]]:
+            x = dfn[x]
+            if x > i:  # linked: eval(x), least semi on its path to the root
+                sx = semi[label[x]]
+                a = anc[x]
+                while a >= 0:
+                    b = anc[a]
+                    lx = label[x]
+                    if b >= 0:  # halve: x skips its parent
+                        la = label[a]
+                        if semi[la] < semi[lx]:
+                            label[x] = lx = la
+                        anc[x] = a = b
+                    if semi[lx] < sx:
+                        sx = semi[lx]
+                    x = a
+                    a = anc[x]
+                x = sx
+            if x < sw:
+                sw = x
+        semi[i] = sw
+        bnext[i] = bhead[sw]
+        bhead[sw] = i
+        p = dfn[par[w]]
+        anc[i] = p
+        v = bhead[p]
+        bhead[p] = -1
+        while v >= 0:  # the same eval, keeping the vertex
+            x = u = v
+            a = anc[x]
+            while a >= 0:
+                b = anc[a]
+                lx = label[x]
+                if b >= 0:
+                    la = label[a]
+                    if semi[la] < semi[lx]:
+                        label[x] = lx = la
+                    anc[x] = a = b
+                if semi[lx] < semi[u]:
+                    u = lx
+                x = a
+                a = anc[x]
+            dom[v] = u if semi[u] < p else p
+            v = bnext[v]
+    idom = [-1] * n
     for i in range(1, n):
-        w = verts[i]
-        if idom[w] != verts[sdom[w]]:
-            idom[w] = idom[idom[w]]
-    idom[s] = -1
+        if dom[i] != semi[i]:
+            dom[i] = dom[dom[i]]
+        idom[verts[i]] = verts[dom[i]]
     return DomTree(s, idom, n)
 
 
@@ -141,36 +190,35 @@ def flow_bridges(g: DiGraph, s: int) -> BridgeDecomposition:
     every other edge into v comes from a vertex dominated by v.
     """
     dt = dominator_tree(g, s)
+    idom, pre, size = dt.idom, dt.pre, dt.size
     istart, isrc, ieid = g.in_csr()
     bridges: list[int] = []
     marked: list[int] = []
+    is_root = bytearray(g.n)
+    is_root[s] = 1
     for v in range(g.n):
         if v == s:
             continue
-        p = dt.idom[v]
+        p = idom[v]
+        lo = pre[v]
+        hi = lo + size[v]
         candidate = -1
         count = 0
-        ok = True
         for j in range(istart[v], istart[v + 1]):
             u = isrc[j]
-            if u == v:
-                continue  # self-loop
             if u == p:
                 count += 1
                 candidate = ieid[j]
-            elif not dt.dominates(v, u):
-                ok = False
+            elif not lo <= pre[u] < hi:  # u is not dominated by v
                 break
-        if ok and count == 1:
-            bridges.append(candidate)
-            marked.append(v)
-    marked_set = set(marked)
+        else:
+            if count == 1:
+                bridges.append(candidate)
+                marked.append(v)
+                is_root[v] = 1
     tree_of = [-1] * g.n
     for v in dt.order:
-        if v == s or v in marked_set:
-            tree_of[v] = v
-        else:
-            tree_of[v] = tree_of[dt.idom[v]]
+        tree_of[v] = v if is_root[v] else tree_of[idom[v]]
     subtrees: dict[int, list[int]] = {}
     for v in range(g.n):
         subtrees.setdefault(tree_of[v], []).append(v)

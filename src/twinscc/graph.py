@@ -391,16 +391,28 @@ class UGraphView(UGraph):
 
 
 def underlying(g: DiGraph) -> UGraphView:
-    """Simple undirected graph of ``g``; self-loops are dropped."""
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for eid, (u, v) in enumerate(g.edges):
+    """Simple undirected graph of ``g``; self-loops are dropped.
+
+    An edge (u, v) with u < v is its own key, shared with ``g``.  A pair
+    maps to its one edge id, and to a list only once a second edge joins
+    it: most pairs of a sparse graph carry one edge."""
+    ids: dict[tuple[int, int], Union[int, list[int]]] = {}
+    for eid, e in enumerate(g.edges):
+        u, v = e
         if u == v:
             continue
-        key = (u, v) if u < v else (v, u)
-        buckets.setdefault(key, []).append(eid)
-    keys = sorted(buckets)
+        key = e if u < v else (v, u)
+        o = ids.setdefault(key, eid)
+        if o != eid:
+            if type(o) is int:
+                ids[key] = [o, eid]
+            else:
+                o.append(eid)
+    keys = sorted(ids)
     view = UGraphView._trusted(g.n, tuple(keys))
-    view.origins = tuple(tuple(buckets[k]) for k in keys)
+    view.origins = tuple(
+        (o,) if type(o) is int else tuple(o) for o in map(ids.__getitem__, keys)
+    )
     return view
 
 
@@ -428,6 +440,25 @@ class Partition:
         norm.sort(key=lambda t: t[0])
         self.blocks: tuple[tuple[int, ...], ...] = tuple(norm)
         self._index: Optional[dict[int, int]] = None
+
+    @classmethod
+    def _trusted(cls, blocks: Iterable[tuple[int, ...]]) -> "Partition":
+        # internal fast path: nonempty ascending tuples, pairwise disjoint,
+        # already ordered by minimum member
+        p = cls.__new__(cls)
+        p.blocks = tuple(blocks)
+        p._index = None
+        return p
+
+    @classmethod
+    def _grouped(cls, labelled: Iterable[tuple[int, object]]) -> "Partition":
+        """Blocks of equal label from (vertex, label) pairs in ascending
+        vertex order: each block ascends and the blocks come out ordered
+        by minimum, so no check or sort is needed."""
+        groups: dict[object, list[int]] = {}
+        for v, lab in labelled:
+            groups.setdefault(lab, []).append(v)
+        return cls._trusted(map(tuple, groups.values()))
 
     @classmethod
     def singletons(cls, ground: Iterable[int]) -> "Partition":
@@ -463,9 +494,9 @@ class Partition:
         if set(mine) != set(theirs):
             raise GraphError("refine requires identical ground sets")
         groups: dict[tuple[int, int], list[int]] = {}
-        for v in mine:
+        for v in mine:  # block by block, each ascending: so is every group
             groups.setdefault((mine[v], theirs[v]), []).append(v)
-        return Partition(groups.values())
+        return Partition._trusted(sorted(map(tuple, groups.values())))
 
     def restricted(self, keep: Iterable[int]) -> "Partition":
         """Partition induced on a subset of the ground set."""

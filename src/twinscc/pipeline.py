@@ -16,7 +16,10 @@ result is the mutual refinement of two partitions:
 
 Each fact is computed once per TSCC: ``tscc`` hands over the induced
 subgraph and the underlying view it built, and one forward flow-graph pass
-from source 0 feeds both the strong bridges and the auxiliary family.
+from source 0 feeds both the strong bridges and the auxiliary family.  The
+view serves only the cactus and each cactus edge's lone origin, so
+``two_etscc`` reads those first and drops the view before the flow-graph
+passes.
 ``two_escc`` runs the same passes per SCC and builds no family for an SCC
 without strong bridges: it is one 2eSCC.
 
@@ -34,11 +37,12 @@ from .graph import (
     Partition,
     PreconditionError,
     UGraph,
+    UGraphView,
     _find,
     _union,
     underlying,
 )
-from .undirected import bridges_2ecc, three_ecc_cactus
+from .undirected import Cactus, bridges_2ecc, three_ecc_cactus
 from .dominators import _strongly_connected, flow_bridges, strong_bridges
 from .strong import (
     _scc_subgraphs,
@@ -57,38 +61,38 @@ from .auxiliary import (
 from .spqr import marked_veb
 
 
-def partition_et_minus_es(g: DiGraph, _es=None, _view=None) -> Partition:
+def partition_et_minus_es(g: DiGraph) -> Partition:
     """Partition of the 2eTSCCs due to twinless strong bridges that are not
-    strong bridges.  Requires a twinless strongly connected input.
-
-    ``two_etscc`` passes the strong bridges ``_es`` it already has and,
-    when ``tscc`` built it, the underlying view ``_view`` of ``g``; the
-    input is then trusted to be twinless strongly connected.
-    """
-    view = underlying(g) if _view is None else _view
-    if _es is None:
-        if not _strongly_connected(g):
+    strong bridges.  Requires a twinless strongly connected input."""
+    view = underlying(g)
+    if not _strongly_connected(g):
+        raise PreconditionError("input must be twinless strongly connected")
+    if g.n > 1:
+        bridges, _ = bridges_2ecc(view)
+        if bridges or view.m == 0:
             raise PreconditionError("input must be twinless strongly connected")
-        if g.n > 1:
-            bridges, _ = bridges_2ecc(view)
-            if bridges or view.m == 0:
-                raise PreconditionError("input must be twinless strongly connected")
-        es = set(strong_bridges(g, _checked=True))
-    else:
-        es = set(_es)
+    es = set(strong_bridges(g, _checked=True))
+    return _cut_cycle_partition(*_cactus_lone_origins(view), es)
+
+
+def _cactus_lone_origins(view: UGraphView) -> tuple[Cactus, list[int]]:
+    """The 3ecc cactus of ``view`` and, per cactus edge, the id of its one
+    directed origin, or -1 when twins or parallels collapsed into it."""
     cactus = three_ecc_cactus(view)
-    drop: set[int] = set()
-    for a, b, cycle_id, view_eid in cactus.edges:
-        origins = view.origins[view_eid]
-        if len(origins) == 1 and origins[0] not in es:
-            drop.add(cycle_id)
+    origins = [view.origins[edge[3]] for edge in cactus.edges]
+    return cactus, [o[0] if len(o) == 1 else -1 for o in origins]
+
+
+def _cut_cycle_partition(cactus: Cactus, lone: list[int], es) -> Partition:
+    """Delete each cactus cycle through an edge whose lone origin is a
+    twinless strong bridge but not in the strong bridges ``es``; the
+    pieces left, mapped back through ``phi``, partition the vertices."""
+    drop = {edge[2] for edge, o in zip(cactus.edges, lone) if o >= 0 and o not in es}
     parent = list(range(cactus.node_count))
     for a, b, cycle_id, _ in cactus.edges:
         if cycle_id not in drop:
             _union(parent, a, b)
-    return Partition.from_labels(
-        {v: _find(parent, cactus.phi[v]) for v in range(g.n)}
-    )
+    return Partition._grouped(enumerate(_find(parent, c) for c in cactus.phi))
 
 
 def partition_strong_bridges(h: AuxGraph, verify: bool = False) -> Partition:
@@ -99,11 +103,11 @@ def partition_strong_bridges(h: AuxGraph, verify: bool = False) -> Partition:
     is computed.
     """
     if len(h.oo) <= 1:
-        return Partition.trivial(h.oo)
+        return Partition._trusted([tuple(h.oo)] if h.oo else [])
     d, local, back = h.digraph()
     sbs = strong_bridges(d, _checked=True)  # members are strongly connected
     if not sbs:
-        return Partition([sorted(h.oo)])
+        return Partition._trusted([tuple(sorted(h.oo))])
     xes = [classify_xe(h, e) for e in sbs]
     if verify:
         for xe in xes:
@@ -140,8 +144,9 @@ def partition_strong_bridges(h: AuxGraph, verify: bool = False) -> Partition:
                 if orig in h.oo:
                     members.append(orig)
         if members:
-            blocks.append(members)
-    return Partition(blocks)
+            blocks.append(tuple(sorted(members)))
+    # disjoint: marked_veb's blocks are, and so are the classes
+    return Partition._trusted(sorted(blocks))
 
 
 def _strong_bridge_passes(g: DiGraph):
@@ -187,7 +192,7 @@ def _strong_bridge_partition(g: DiGraph, bd, verify: bool = False) -> Partition:
     blocks = []
     for h in _splittable_family(g, bd):
         blocks.extend(partition_strong_bridges(h, verify=verify).blocks)
-    return Partition(blocks)
+    return Partition._trusted(sorted(blocks))  # the oo-sets partition V
 
 
 def two_escc(g: DiGraph) -> Partition:
@@ -202,40 +207,43 @@ def two_escc(g: DiGraph) -> Partition:
     whose oo-sets are exactly {r}.
     """
     components = scc(g).components
-    blocks = [list(comp) for comp in components if len(comp) == 1]
+    blocks = [comp for comp in components if len(comp) == 1]
     for sub, verts, _ in _scc_subgraphs(g, components):
         passes = _strong_bridge_passes(sub)
         bd = next(passes)
         if not bd.flow_bridges and not next(passes).flow_bridges:
-            blocks.append(list(range(sub.n)) if verts is None else verts)
+            blocks.append(tuple(range(sub.n)) if verts is None else tuple(verts))
             continue
         for h in _splittable_family(sub, bd):
             if h.oo:
                 blocks.append(
-                    sorted(h.oo) if verts is None else sorted(verts[i] for i in h.oo)
+                    tuple(sorted(h.oo) if verts is None else sorted(verts[i] for i in h.oo))
                 )
-    return Partition(blocks)
+    return Partition._trusted(sorted(blocks))
 
 
 def two_etscc(g: DiGraph, verify: bool = False) -> Partition:
     """2-edge twinless strongly connected components."""
     parts: list = []
-    blocks = [list(b) for b in tscc(g, _parts=parts) if len(b) == 1]
+    blocks = [b for b in tscc(g, _parts=parts) if len(b) == 1]
     todo: list = []
     while parts:  # popped, so each view is freed once analysed
         todo.extend(_tscc_graphs(parts.pop(), 2))
         while todo:
             sub, verts, _, view = todo.pop()
+            if view is None:
+                view = underlying(sub)
+            cactus, lone = _cactus_lone_origins(view)
+            del view  # not held through the flow-graph passes
             passes = _strong_bridge_passes(sub)
             bd = next(passes)
             es = set(bd.flow_bridges).union(next(passes).flow_bridges)
-            part = partition_et_minus_es(sub, _es=es, _view=view)
-            del view  # not held while the auxiliary family is built
+            part = _cut_cycle_partition(cactus, lone, es)
             if es:  # without strong bridges their partition is the whole TSCC
                 part = part.refine(_strong_bridge_partition(sub, bd, verify=verify))
             for piece in part:
-                blocks.append(piece if verts is None else [verts[i] for i in piece])
-    return Partition(blocks)
+                blocks.append(piece if verts is None else tuple(verts[i] for i in piece))
+    return Partition._trusted(sorted(blocks))
 
 
 def two_etscc_baseline(g: DiGraph, deadline: Optional[float] = None) -> Partition:

@@ -663,6 +663,7 @@ def marked_veb(g: UGraph, marked: Iterable[int]) -> Partition:
                     else:
                         _union(parent, rep, base + e)
 
-    labels = {v: _find(parent, v) for v in range(g.n) if not is_marked[v]}
-    return Partition.from_labels(labels)
+    return Partition._grouped(
+        (v, _find(parent, v)) for v in range(g.n) if not is_marked[v]
+    )
 

@@ -96,7 +96,9 @@ def scc(g: DiGraph) -> SccResult:
     cond = sorted(
         {(comp_of[u], comp_of[v]) for u, v in g.edges if comp_of[u] != comp_of[v]}
     )
-    return SccResult(Partition(components), comp_of, components, tuple(cond))
+    return SccResult(
+        Partition._trusted(sorted(components)), comp_of, components, tuple(cond)
+    )
 
 
 def _scc_subgraphs(g: DiGraph, components) -> list:
@@ -166,11 +168,12 @@ def tscc(g: DiGraph, _parts: Optional[list] = None) -> Partition:
     if _parts is not None:
         _parts.extend(parts)
         parts = _parts
-    return Partition(
-        b if verts is None else [verts[i] for i in b]
+    # ascending blocks mapped through ascending ``verts`` stay ascending
+    return Partition._trusted(sorted(
+        b if verts is None else tuple(verts[i] for i in b)
         for tsccs, _, verts, _, _ in parts
         for b in tsccs
-    )
+    ))
 
 
 def twinless_strong_bridges(g: DiGraph) -> tuple[int, ...]:

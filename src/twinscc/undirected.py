@@ -22,7 +22,7 @@ def connected_components(g: UGraph) -> Partition:
     comp = [-1] * g.n
     for v in order:
         comp[v] = v if parent[v] == -1 else comp[parent[v]]
-    return Partition.from_labels({v: comp[v] for v in range(g.n)})
+    return Partition._grouped(enumerate(comp))
 
 
 def _low_points(g: UGraph):
@@ -67,9 +67,7 @@ def bridges_2ecc(g: UGraph) -> tuple[tuple[int, ...], Partition]:
             label[v] = v
         else:
             label[v] = label[p]
-    return tuple(sorted(bridges)), Partition.from_labels(
-        {v: label[v] for v in range(g.n)}
-    )
+    return tuple(sorted(bridges)), Partition._grouped(enumerate(label))
 
 
 @dataclass(frozen=True)
@@ -226,7 +224,7 @@ def three_ecc_classes(g: UGraph) -> Partition:
     for v in order:  # an owner precedes the vertices it absorbed
         o = owner[v]
         label[v] = v if o == -1 else label[o]
-    return Partition.from_labels({v: label[v] for v in range(n)})
+    return Partition._grouped(enumerate(label))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from twinscc import dominators
 from twinscc.cli import main
 
 
@@ -110,6 +111,16 @@ def test_dominators_output(capsys, cyc3_file):
     assert code == 0
     assert "idom 1 0" in out and "idom 2 1" in out
     assert "bridge 0 0 1" in out and "bridge 1 1 2" in out
+
+
+def test_dominators_builds_one_tree(capsys, calls, cyc3_file):
+    # the idoms printed come from the tree flow_bridges builds; counting
+    # DomTree also sees a dominator_tree call the CLI makes by its own name
+    calls.watch("dominator_tree", dominators)
+    calls.watch("DomTree", dominators)
+    code, out, _ = _run(capsys, "dominators", "--in", cyc3_file, "--check-oracle")
+    assert code == 0 and out == "idom 1 0\nidom 2 1\nbridge 0 0 1\nbridge 1 1 2\n"
+    assert calls == {"dominator_tree": 1, "DomTree": 1}
 
 
 def test_scc_tscc_strong_bridges(capsys, cyc3_file):

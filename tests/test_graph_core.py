@@ -106,6 +106,11 @@ def test_underlying_parallels_collapse():
     view = underlying(g)
     assert view.edges == ((1, 2),)
     assert view.origins == ((0, 1, 2),)
+    # the first edge of a pair reversed, and a pair with one edge between
+    g = DiGraph(3, [(2, 1), (1, 2), (0, 2), (2, 1)])
+    view = underlying(g)
+    assert view.edges == ((0, 2), (1, 2))
+    assert view.origins == ((2,), (0, 1, 3))
 
 
 def test_underlying_ignores_self_loops():
@@ -174,6 +179,17 @@ def test_refine_idempotent(p):
 def test_refine_refines_both(p, q):
     r = p.refine(q)
     assert refines(r, p) and refines(r, q)
+
+
+@given(partitions(), partitions())
+def test_unchecked_assembly_is_canonical(p, q):
+    # refine and _grouped skip the checks and the per-block sorting; their
+    # blocks must be exactly what the checked constructor makes of them
+    r = p.refine(q)
+    assert r.blocks == Partition(r.blocks).blocks
+    labels = [p.block_index()[v] * 7 % 5 for v in range(6)]
+    g = Partition._grouped(enumerate(labels))
+    assert g.blocks == Partition.from_labels(dict(enumerate(labels))).blocks
 
 
 def test_parse_directed():

@@ -191,6 +191,12 @@ def test_two_etscc_bridgey_mid_size_vs_baseline():
     assert seconds < 20, f"two_etscc took {seconds:.1f} s at m = 1024"
 
 
+def test_two_etscc_bridgey_m4096_vs_baseline():
+    # 279 2eTSCCs; the quadratic baseline takes about 4 s on a 2-core machine
+    g = oracles.gen_digraph(1024, 4096, random.Random(1), "bridgey")
+    assert two_etscc(g) == two_etscc_baseline(g)
+
+
 def test_two_etscc_nested_cut_sides_vs_baseline():
     # a 13-vertex TSCC whose underlying graph has two nested 2-edge-cut
     # sides starting and ending at the same preorder positions; a wrong
