@@ -20,7 +20,7 @@ only a known set X_e of non-oo vertices as singleton SCCs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .graph import DiGraph, GraphError, PreconditionError
@@ -203,10 +203,15 @@ def s_operation(g: DiGraph, eid: int, cap: Optional[int] = None) -> list[tuple[t
     return members
 
 
-def second_level(h1: AuxGraph) -> list[AuxGraph]:
+def second_level(h1: AuxGraph, _splittable: bool = False) -> list[AuxGraph]:
     """Final-family members derived from one first-level graph.
 
-    Their oo-sets partition ``h1.ordinary1``.
+    Their oo-sets partition ``h1.ordinary1``.  With ``_splittable`` (the
+    pipeline's call), an S-operation whose H_rr' has at most one vertex in
+    ``h1.ordinary1 & ordinary2`` is not run.  Its members' oo-sets
+    partition that set (an attached vertex is never in the SCC it attaches
+    to), so none of them can split, and one stand-in carrying the set as
+    its oo-set replaces them.
     """
     sub, local, back = h1.digraph()
     rev = sub.reverse()
@@ -216,10 +221,14 @@ def second_level(h1: AuxGraph) -> list[AuxGraph]:
     lvl2 = build_first_level(rev, r_loc, _bd=flow_bridges(rev, r_loc))
     out: list[AuxGraph] = []
     for h2 in lvl2:
-        verts = tuple(back[i] for i in h2.vertices)
-        edges = [(back[u], back[v]) for u, v in h2.edges]
         ordinary2 = frozenset(back[i] for i in h2.ordinary1)
         r2 = back[h2.r]
+        both = h1.ordinary1 & ordinary2
+        if _splittable and r2 != h1.r and len(both) <= 1:
+            out.append(replace(h1, oo=both))  # a stand-in: only oo is read
+            continue
+        verts = tuple(back[i] for i in h2.vertices)
+        edges = [(back[u], back[v]) for u, v in h2.edges]
         if r2 == h1.r:
             if h1.critical_edge is None:
                 out.append(
@@ -232,7 +241,7 @@ def second_level(h1: AuxGraph) -> list[AuxGraph]:
                         ordinary1=h1.ordinary1,
                         ordinary2=ordinary2,
                         attached=frozenset(),
-                        oo=h1.ordinary1 & ordinary2,
+                        oo=both,
                         critical_edge=None,
                     )
                 )
@@ -257,7 +266,7 @@ def second_level(h1: AuxGraph) -> list[AuxGraph]:
                     ordinary1=h1.ordinary1 & set(verts),
                     ordinary2=ordinary2,
                     attached=frozenset(),
-                    oo=h1.ordinary1 & ordinary2,
+                    oo=both,
                     critical_edge=None,
                 )
             )
@@ -279,11 +288,6 @@ def second_level(h1: AuxGraph) -> list[AuxGraph]:
                 oedges = tuple(sorted((verts[u], verts[v]) for u, v in medges))
                 attached = frozenset(verts[i] for i in mattached)
                 vset = set(overts)
-                oo = frozenset(
-                    v
-                    for v in vset - attached
-                    if v in h1.ordinary1 and v in ordinary2
-                )
                 out.append(
                     AuxGraph(
                         kind=KIND_S_SR if h1.critical_edge is None else KIND_S_RR,
@@ -294,7 +298,7 @@ def second_level(h1: AuxGraph) -> list[AuxGraph]:
                         ordinary1=h1.ordinary1 & vset,
                         ordinary2=ordinary2 & vset,
                         attached=attached,
-                        oo=oo,
+                        oo=both & (vset - attached),
                         critical_edge=crit,
                     )
                 )

@@ -12,6 +12,7 @@ JSON forms.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 import time
@@ -196,7 +197,10 @@ def baseline_speedup(g: DiGraph, factor: float = 1.0) -> tuple[float, bool]:
     return (time.perf_counter() - start) / t_fast, True
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and then reused:
+    parsing leaves it unchanged.  Not built at import, which stays cheap."""
     parser = argparse.ArgumentParser(
         prog="twinscc",
         description="Twinless strong connectivity and orientation blocks",
@@ -251,9 +255,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_bench.add_argument("--out", dest="out", default="-")
     p_bench.add_argument("--baseline-at", default="", help="also measure the baseline speedup at this size")
     p_bench.add_argument("--baseline-factor", type=float, default=1.0)
+    return parser
 
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return 0 if code == 0 else 2

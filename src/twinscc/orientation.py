@@ -1,5 +1,10 @@
-"""Orientation blocks of mixed graphs via reduction to (2-edge) twinless
-strong connectivity.
+"""Orientation blocks of mixed graphs.
+
+Strongly orientable blocks are computed on the mixed graph itself: one SCC
+pass and one 2ecc pass (see ``strongly_orientable_blocks``).  That is what
+the TSCCs of the split-and-twin reduction below give on the original
+vertices; ``split_and_twin`` stays as that reference.  Edge-resilient
+blocks reduce to 2-edge twinless strong connectivity.
 
 Splitting a directed edge (x, y) replaces it by (x, z), (z, y) through a
 fresh auxiliary vertex.  An undirected edge {x, y} is replaced either by a
@@ -18,8 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import DiGraph, GraphError, MixedGraph, Partition
-from .strong import tscc
+from .graph import DiGraph, GraphError, MixedGraph, Partition, UGraph
+from .strong import scc
+from .undirected import bridges_2ecc
 from .pipeline import two_etscc
 
 GADGET_EDGE_NAMES = ("xz", "zx", "zu", "uv", "vy", "yu", "vz")
@@ -114,30 +120,27 @@ def split_and_gadget(g: MixedGraph) -> ReducedGraph:
 def strongly_orientable_blocks(g: MixedGraph) -> Partition:
     """Maximal vertex sets strongly connected under some orientation.
 
-    Parallel undirected copies of the same pair can be oriented oppositely,
-    which the endpoint-based twin machinery cannot see; a parallel class of
-    two or more copies is therefore orientation-equivalent to the two
-    directed edges (x, y), (y, x) and is normalized to them (the directed
-    split keeps them independent) before the twin reduction runs.
+    Computed on ``g`` itself, without a reduction.  Let D be the directed
+    edges plus both orientations of every undirected edge, and H the
+    undirected multigraph of all edges of ``g`` whose ends share an SCC
+    of D (its self-loops are ignored).  The blocks are the 2ecc blocks of H: a mixed multigraph
+    is strongly orientable iff it is strongly connected and no undirected
+    edge is a bridge (Boesch & Tindell, 1980), and a directed edge inside
+    an SCC is never a bridge of H.  This is what the TSCCs of
+    ``split_and_twin`` give on the original vertices.  The SCCs of that
+    reduction there are those of D.  Each SCC's underlying simple graph
+    is a subdivision of H's part in it: a split directed edge is a path
+    through a vertex of degree 2, and a twin pair collapses into one edge
+    (a split self-loop only adds a pendant vertex).  A subdivision keeps
+    the 2-edge-connected classes of the original vertices.  Parallel
+    undirected copies, which can be oriented oppositely, are parallel
+    edges of H and so never bridges.
     """
-    counts: dict[tuple[int, int], int] = {}
-    for a, b in g.undirected:
-        key = (a, b) if a < b else (b, a)
-        counts[key] = counts.get(key, 0) + 1
-    directed = list(g.directed)
-    undirected = []
-    for a, b in g.undirected:
-        key = (a, b) if a < b else (b, a)
-        if counts[key] == 1:
-            undirected.append((a, b))
-    for (a, b), c in counts.items():
-        if c >= 2:
-            directed.append((a, b))
-            directed.append((b, a))
-    red = split_and_twin(MixedGraph(g.n, directed, undirected))
-    return Partition(
-        [b for blk in tscc(red.graph) if (b := [v for v in blk if v < g.n])]
-    )
+    und = g.undirected
+    both = g.directed + und + tuple((b, a) for a, b in und)
+    comp = scc(DiGraph._trusted(g.n, both)).comp_of
+    h = tuple(e for e in g.directed + und if comp[e[0]] == comp[e[1]])
+    return bridges_2ecc(UGraph._trusted(g.n, h))[1]
 
 
 def edge_resilient_blocks(g: MixedGraph, fail: str = "both") -> Partition:

@@ -165,7 +165,8 @@ def _splittable_family(g: DiGraph, bd):
     """The final auxiliary family of the strongly connected ``g`` from
     source 0, whose forward flow-graph pass ``bd`` is, except that a
     first-level member with one ordinary vertex r stands in for the
-    members derived from it.
+    members derived from it, and one stand-in replaces the members of an
+    S-operation that cannot split (see ``second_level``).
 
     The oo-sets of those members partition the ordinary vertices of their
     first-level member, so they are exactly {r}: one block, whatever the
@@ -175,7 +176,7 @@ def _splittable_family(g: DiGraph, bd):
         if len(h1.oo) == 1:
             yield h1
         else:
-            yield from second_level(h1)
+            yield from second_level(h1, _splittable=True)
 
 
 def _strong_bridge_partition(g: DiGraph, bd, verify: bool = False) -> Partition:

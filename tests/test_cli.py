@@ -221,3 +221,29 @@ def test_json_input(capsys, tmp_path):
     p.write_text('{"n":3,"directed":[[0,1],[1,2],[2,0]],"undirected":[]}')
     code, out, _ = _run(capsys, "tscc", "--in", str(p))
     assert code == 0 and out == "0 1 2\n"
+
+
+def test_repeated_calls_match_a_fresh_process(capsys, monkeypatch, tri_undirected_file):
+    # main builds its parser once per process; each later call must still
+    # answer exactly as a new process does: output, usage and exit code
+    import os
+    import subprocess
+    import sys
+
+    from twinscc import cli
+
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    monkeypatch.setenv("PYTHONPATH", os.path.dirname(os.path.dirname(cli.__file__)))
+    runs = [
+        ["orient-blocks", "--fail", "both"],
+        ["orient-blocks", "--in", tri_undirected_file],
+        ["--help"],
+        ["orient-blocks", "--in", tri_undirected_file, "--json"],
+    ]
+    for argv in runs:
+        fresh = subprocess.run(
+            [sys.executable, "-c", "import sys; from twinscc.cli import main; sys.exit(main())", *argv],
+            capture_output=True, text=True, env=os.environ, timeout=60,
+        )
+        assert _run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert [_run(capsys, *argv)[0] for argv in runs] == [2, 0, 0, 0]

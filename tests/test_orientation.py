@@ -7,7 +7,8 @@ import time
 
 import pytest
 
-from twinscc import orientation
+from twinscc import auxiliary, orientation, pipeline
+from twinscc.dominators import strong_bridges
 from twinscc.graph import GraphError, MixedGraph, Partition, refines
 from twinscc.orientation import (
     edge_resilient_blocks,
@@ -15,10 +16,11 @@ from twinscc.orientation import (
     split_and_twin,
     strongly_orientable_blocks,
 )
-from twinscc.pipeline import two_escc, two_etscc_baseline
-from twinscc.strong import scc
+from twinscc.pipeline import two_escc, two_etscc, two_etscc_baseline
+from twinscc.strong import _scc_parts, _tscc_graphs, scc
 from twinscc import oracles
 
+from orientable_reference import orientable_by_reduction
 from resilient_reference import edge_resilient_per_edge
 
 
@@ -188,7 +190,142 @@ def test_edge_resilient_budget_1000_edges(fail):
 @pytest.mark.parametrize("fail", ["both", "directed", "undirected"])
 def test_each_failure_mode_is_one_two_etscc_call(calls, fail):
     calls.watch("two_etscc", orientation)
-    calls.watch("tscc", orientation)
+    calls.watch("scc", orientation)
     g = oracles.gen_mixed(10, 10, 10, random.Random(2))
     edge_resilient_blocks(g, fail)
-    assert calls == {"two_etscc": 1, "tscc": 0}
+    assert calls == {"two_etscc": 1, "scc": 0}
+
+
+_S_KINDS = (auxiliary.KIND_S_SR, auxiliary.KIND_S_RR)
+
+
+def _splittable_s_operations(d) -> int:
+    """S-operations the pipeline must still run on ``d``: those of the
+    first-level members with two or more ordinary vertices, in TSCCs with
+    a strong bridge, whose ``ordinary1 & ordinary2`` has two or more
+    vertices.  The members of one S-operation share r and r2."""
+    count = 0
+    for part in _scc_parts(d):
+        for sub, _, _, _ in _tscc_graphs(part, 2):
+            if not strong_bridges(sub):
+                continue
+            for h1 in auxiliary.build_first_level(sub, 0):
+                if len(h1.oo) < 2:
+                    continue
+                oo_of: dict[int, set[int]] = {}
+                for h in auxiliary.second_level(h1):
+                    if h.kind in _S_KINDS:
+                        oo_of.setdefault(h.r2, set()).update(h.oo)
+                count += sum(len(oo) >= 2 for oo in oo_of.values())
+    return count
+
+
+@pytest.mark.parametrize("fail", ["both", "undirected"])
+def test_s_operations_that_cannot_split_are_not_run(monkeypatch, fail):
+    # counts work, not time: an S-operation whose ordinary1 & ordinary2 has
+    # at most one vertex cannot split it, so the pipeline runs none of them
+    g = oracles.gen_mixed(125, 250, 250, random.Random(1))
+    reduced, s_ops = [], [0]
+
+    def two_etscc_recording(d):
+        reduced.append(d)
+        return pipeline.two_etscc(d)
+
+    def s_operation_counted(*args, **kwargs):
+        s_ops[0] += 1
+        return s_operation(*args, **kwargs)
+
+    s_operation = auxiliary.s_operation
+    monkeypatch.setattr(orientation, "two_etscc", two_etscc_recording)
+    monkeypatch.setattr(auxiliary, "s_operation", s_operation_counted)
+    got = edge_resilient_blocks(g, fail)
+    (d,) = reduced
+    monkeypatch.setattr(auxiliary, "s_operation", s_operation)
+    assert s_ops[0] == _splittable_s_operations(d)
+    if fail == "both":
+        assert s_ops[0] == 0
+    # the same answer from the whole family, every S-operation run
+    second_level = pipeline.second_level
+    monkeypatch.setattr(pipeline, "second_level", lambda h1, **kw: second_level(h1))
+    assert edge_resilient_blocks(g, fail) == got
+
+
+def test_final_family_still_runs_every_s_operation(monkeypatch):
+    # build_final_family (and so `twinscc aux`) builds every member: one
+    # S-operation per H_rr', each of two or more members, no stand-ins
+    g = oracles.gen_mixed(125, 250, 250, random.Random(1))
+    d = split_and_gadget(g).graph
+    s_ops = [0]
+
+    def s_operation_counted(*args, **kwargs):
+        s_ops[0] += 1
+        return s_operation(*args, **kwargs)
+
+    s_operation = auxiliary.s_operation
+    monkeypatch.setattr(auxiliary, "s_operation", s_operation_counted)
+    subs = [sub for part in _scc_parts(d) for sub, _, _, _ in _tscc_graphs(part, 2)]
+    assert subs
+    for sub in subs:
+        s_ops[0] = 0
+        family = auxiliary.build_final_family(sub, 0)
+        s_members = [h for h in family if h.kind in _S_KINDS]
+        origins = {(h.r, h.r2) for h in s_members}
+        assert s_ops[0] == len(origins) > 0
+        assert len(s_members) >= 2 * len(origins)
+        assert auxiliary.KIND_H1 not in {h.kind for h in family}
+        assert sorted(v for h in family for v in h.oo) == list(range(sub.n))
+
+
+def _decorated(g: MixedGraph, rng: random.Random) -> MixedGraph:
+    """``g`` plus the shapes the reduction treats apart: parallel
+    undirected classes of two and three copies, a directed edge beside an
+    undirected one on the same pair (either way round), and directed and
+    undirected self-loops."""
+    n, und = g.n, list(g.undirected)
+    picks = rng.sample(und, min(len(und), 30))
+    undirected = und + picks[:10] + picks[10:15] * 2
+    directed = list(g.directed) + [e if rng.random() < 0.5 else e[::-1] for e in picks[15:]]
+    loops = [(v, v) for v in rng.sample(range(n), min(n, 5))]
+    return MixedGraph(n, directed + loops[:3], undirected + loops[3:])
+
+
+def _undirected_trees_and_cycles(n: int, rng: random.Random) -> list[MixedGraph]:
+    tree = [(v, rng.randrange(v)) for v in range(1, n)]
+    cycle = [(v, (v + 1) % n) for v in range(n)]
+    # a tree whose edges close a few cycles and gain a few parallel copies
+    extra = [(rng.randrange(n), rng.randrange(n)) for _ in range(n // 20)]
+    return [
+        MixedGraph(n, [], tree),
+        MixedGraph(n, [], cycle),
+        MixedGraph(n, [], tree + extra + rng.sample(tree, n // 20)),
+    ]
+
+
+@pytest.mark.parametrize("m", [100, 1000, 10000])
+def test_orientable_blocks_mid_size_vs_reduction(m):
+    # the direct computation against the split-and-twin reduction it
+    # replaced; n = m/4 as `twinscc gen --model mixed` makes them, and
+    # n = m/2 for sparser graphs with many SCCs and bridges
+    rng = random.Random(m)
+    graphs = []
+    for n in (m // 4, m // 2):
+        g = oracles.gen_mixed(n, m - m // 2, m // 2, rng)
+        graphs += [g, _decorated(g, rng)]
+    graphs += _undirected_trees_and_cycles(m, rng)
+    sizes = []
+    for g in graphs:
+        want = orientable_by_reduction(g)
+        assert strongly_orientable_blocks(g) == want, (m, g)
+        sizes.append(len(want))
+    # whole graphs, all singletons, and graphs in between all occur
+    assert 1 in sizes and m in sizes and any(1 < k < m // 2 for k in sizes)
+
+
+@pytest.mark.parametrize("reduce", [split_and_twin, split_and_gadget])
+@pytest.mark.parametrize("n, m", [(25, 100), (50, 100), (150, 300)])
+def test_two_etscc_on_mixed_reductions_vs_baseline(reduce, n, m):
+    # the quadratic baseline takes about 2.5 s on the gadget graph at 300
+    # input edges and 30 s at 1,000, so the sizes stop at 300; the gadget
+    # graph at 500 edges is checked by test_edge_resilient_mid_size_vs_baseline
+    d = reduce(oracles.gen_mixed(n, m - m // 2, m // 2, random.Random(m))).graph
+    assert two_etscc(d) == two_etscc_baseline(d)

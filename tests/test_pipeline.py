@@ -238,10 +238,10 @@ def test_only_members_that_can_split_are_analysed(monkeypatch):
             assert len(current[-1].oo) >= 2, (current[-1].kind, current[-1].oo)
         return strong_bridges(d, _checked=_checked)
 
-    def derived(h1):
+    def derived(h1, **kw):
         seen["second_level"] += 1
         assert len(h1.ordinary1) >= 2, h1.ordinary1
-        return second_level(h1)
+        return second_level(h1, **kw)
 
     partition_strong_bridges = pipeline.partition_strong_bridges
     strong_bridges = pipeline.strong_bridges
