@@ -172,34 +172,32 @@ def s_operation(g: DiGraph, eid: int, cap: Optional[int] = None) -> list[tuple[t
     and self-loops are dropped.  ``cap`` optionally bounds multiplicities.
     """
     x, y = g.edges[eid]
-    comps = scc(g.without_edges([eid])).components
-    if len(comps) <= 1:
+    sr = scc(g.without_edges([eid]))
+    if len(sr.components) <= 1:
         raise PreconditionError("S-operation requires a strong bridge")
+    comp_of, counts = sr.comp_of, [{} for _ in sr.components]
+
+    def put(c: int, u: int, v: int) -> None:
+        k = counts[c].get((u, v), 0)
+        if u != v and (cap is None or k < cap):
+            counts[c][(u, v)] = k + 1
+
+    # one pass: each edge lands in its tail's and its head's member
+    for j, (u, v) in enumerate(g.edges):
+        if j == eid:
+            continue
+        cu, cv = comp_of[u], comp_of[v]
+        if cu == cv:
+            put(cu, u, v)
+        else:
+            put(cu, u, x)
+            put(cv, y, v)
     members = []
-    for comp in comps:
-        cset = set(comp)
-        counts: dict[tuple[int, int], int] = {}
-
-        def put(u: int, v: int) -> None:
-            if u == v:
-                return
-            c = counts.get((u, v), 0)
-            if cap is None or c < cap:
-                counts[(u, v)] = c + 1
-
-        for j, (u, v) in enumerate(g.edges):
-            if j == eid:
-                continue
-            if u in cset:
-                put(u, v) if v in cset else put(u, x)
-            elif v in cset:
-                put(y, v)
-        put(x, y)
-        verts = tuple(sorted(cset | {x, y}))
-        edges: list[tuple[int, int]] = []
-        for (u, v), c in sorted(counts.items()):
-            edges.extend([(u, v)] * c)
-        members.append((verts, edges, frozenset({x, y} - cset)))
+    for c, comp in enumerate(sr.components):
+        put(c, x, y)
+        verts = tuple(sorted(set(comp) | {x, y}))
+        edges = [e for e, k in sorted(counts[c].items()) for _ in range(k)]
+        members.append((verts, edges, frozenset({x, y}.difference(comp))))
     return members
 
 

@@ -11,7 +11,7 @@ arrays (``_csr``).  The graph kernels every layer shares sit next to them:
 one iterative depth-first search over CSR arrays (``_dfs``), which every
 graph search except Tarjan's ``scc`` and the SPQR path search runs on, and
 one union-find (``_find``/``_union``).  CSR arrays are built from flat
-integer arrays, never from per-edge tuples.
+integer arrays or other CSRs (``_underlying_csr``), never from tuples.
 
 Public constructors check their input: every endpoint must be in range.
 An edge that already is a tuple of two ``int``s is stored as it is, so
@@ -124,6 +124,36 @@ def _dfs(n: int, start, dst, eid, roots: Iterable[int]):
             else:
                 stack.pop()
     return pre, order, parent, parent_eid
+
+
+def _underlying_csr(g: "DiGraph"):
+    """CSR of the simple underlying graph of ``g`` from its out- and in-CSR:
+    a pair joined by a non-loop edge is one entry in each end's row with one
+    id, its edge id if it has one origin, else -2 - its smallest edge id
+    (never -1, ``_dfs``'s "no edge")."""
+    n = g.n
+    both = g.out_csr(), g.in_csr()
+    start = array("l", bytes(8 * (n + 1)))
+    dst, ids = array("l"), array("l")
+    slot = [-1] * n  # w's entry in the current row, if at least its start
+    k = 0
+    for v in range(n):
+        row = k
+        for first, ends, eids in both:
+            for j in range(first[v], first[v + 1]):
+                w = ends[j]
+                i = slot[w]
+                if i >= row:  # a second origin: keep -2 - the smallest id
+                    c, x = ids[i], -2 - eids[j]
+                    c = c if c < 0 else -2 - c
+                    ids[i] = c if c > x else x
+                elif w != v:
+                    slot[w] = k
+                    k += 1
+                    dst.append(w)
+                    ids.append(eids[j])
+        start[v + 1] = k
+    return start, dst, ids
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -293,6 +323,12 @@ class MixedGraph:
         self.n = n
         self.directed = _checked_edges(directed, n, "tail", "head")
         self.undirected = _checked_edges(undirected, n, "endpoint", "endpoint")
+
+    @classmethod
+    def _trusted(cls, n: int, directed: tuple, undirected: tuple) -> "MixedGraph":
+        g = cls.__new__(cls)  # internal: endpoints known to be in range
+        g.n, g.directed, g.undirected = n, directed, undirected
+        return g
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -563,20 +599,9 @@ def parse_graph(text: str) -> Graph:
         raise ParseError("header counts must be nonnegative")
 
     labels: dict[str, int] = {}
-
-    def endpoint(tok: str) -> int:
-        if tok in labels:
-            return labels[tok]
-        try:
-            v = int(tok)
-        except ValueError:
-            raise ParseError(f"unknown vertex label {tok!r}") from None
-        if not 0 <= v < n:
-            raise ParseError(f"vertex {v} out of range [0, {n})")
-        return v
-
     directed: list[tuple[int, int]] = []
     undirected: list[tuple[int, int]] = []
+    edges_of = {"D": directed, "U": undirected}
     for ln in lines[1:]:
         parts = ln.split()
         kind = parts[0].upper()
@@ -591,20 +616,33 @@ def parse_graph(text: str) -> Graph:
                 raise ParseError(f"label index {idx} out of range [0, {n})")
             labels[parts[2]] = idx
             continue
-        if kind not in ("D", "U") or len(parts) != 3:
+        out = edges_of.get(kind)
+        if out is None or len(parts) != 3:
             raise ParseError(f"bad edge line {ln!r}: expected 'D u v' or 'U a b'")
-        a, b = endpoint(parts[1]), endpoint(parts[2])
-        if kind == "D":
-            directed.append((a, b))
-        else:
-            undirected.append((a, b))
+        _, a, b = parts
+        if labels:
+            a, b = labels.get(a, a), labels.get(b, b)
+        try:
+            a, b = int(a), int(b)
+        except ValueError:
+            a = -1
+        if not (0 <= a < n and 0 <= b < n):  # the first bad end's error
+            for tok in parts[1:]:
+                try:
+                    v = labels[tok] if tok in labels else int(tok)
+                except ValueError:
+                    raise ParseError(f"unknown vertex label {tok!r}") from None
+                if not 0 <= v < n:
+                    raise ParseError(f"vertex {v} out of range [0, {n})")
+        out.append((a, b))
     if len(directed) + len(undirected) != m:
         raise ParseError(
             f"header declares {m} edges but {len(directed) + len(undirected)} found"
         )
+    # every endpoint is an int in range: no second check
     if undirected:
-        return MixedGraph(n, directed, undirected)
-    return DiGraph(n, directed)
+        return MixedGraph._trusted(n, tuple(directed), tuple(undirected))
+    return DiGraph._trusted(n, tuple(directed))
 
 
 def render_graph(g: Graph) -> str:

@@ -15,11 +15,11 @@ result is the mutual refinement of two partitions:
   skips this partition altogether.
 
 Each fact is computed once per TSCC: ``tscc`` hands over the induced
-subgraph and the underlying view it built, and one forward flow-graph pass
-from source 0 feeds both the strong bridges and the auxiliary family.  The
-view serves only the cactus and each cactus edge's lone origin, so
-``two_etscc`` reads those first and drops the view before the flow-graph
-passes.
+subgraph, the CSR of its simple underlying graph and, for a TSCC that is
+its whole SCC, its 2ecc sweep's DFS tree, which the 3ecc sweep reuses.
+One forward flow-graph pass from source 0 feeds both the strong bridges
+and the auxiliary family.  The CSR serves only the cactus, so
+``two_etscc`` builds that first and drops the CSR before the passes.
 ``two_escc`` runs the same passes per SCC and builds no family for an SCC
 without strong bridges: it is one 2eSCC.
 
@@ -37,12 +37,12 @@ from .graph import (
     Partition,
     PreconditionError,
     UGraph,
-    UGraphView,
     _find,
+    _underlying_csr,
     _union,
     underlying,
 )
-from .undirected import Cactus, bridges_2ecc, three_ecc_cactus
+from .undirected import Cactus, _between, _bridges_2ecc, _cactus, _three_ecc_classes
 from .dominators import _strongly_connected, flow_bridges, strong_bridges
 from .strong import (
     _scc_subgraphs,
@@ -64,30 +64,26 @@ from .spqr import marked_veb
 def partition_et_minus_es(g: DiGraph) -> Partition:
     """Partition of the 2eTSCCs due to twinless strong bridges that are not
     strong bridges.  Requires a twinless strongly connected input."""
-    view = underlying(g)
-    if not _strongly_connected(g):
+    csr = _underlying_csr(g)
+    bridges, _, dfs = _bridges_2ecc(g.n, csr)
+    if bridges or not _strongly_connected(g):
         raise PreconditionError("input must be twinless strongly connected")
-    if g.n > 1:
-        bridges, _ = bridges_2ecc(view)
-        if bridges or view.m == 0:
-            raise PreconditionError("input must be twinless strongly connected")
     es = set(strong_bridges(g, _checked=True))
-    return _cut_cycle_partition(*_cactus_lone_origins(view), es)
+    return _cut_cycle_partition(_cactus_lone_origins(g.n, csr, dfs), es)
 
 
-def _cactus_lone_origins(view: UGraphView) -> tuple[Cactus, list[int]]:
-    """The 3ecc cactus of ``view`` and, per cactus edge, the id of its one
-    directed origin, or -1 when twins or parallels collapsed into it."""
-    cactus = three_ecc_cactus(view)
-    origins = [view.origins[edge[3]] for edge in cactus.edges]
-    return cactus, [o[0] if len(o) == 1 else -1 for o in origins]
+def _cactus_lone_origins(n: int, csr, dfs) -> Cactus:
+    """The 3ecc cactus of a TSCC from its underlying CSR (``dfs`` as in
+    ``strong._tscc_graphs``).  An edge's origin is its CSR id: its directed
+    edge if at least 0, negative if twins or parallels collapsed into it."""
+    return _cactus(_three_ecc_classes(n, *csr, dfs), lambda phi: _between(*csr, phi))
 
 
-def _cut_cycle_partition(cactus: Cactus, lone: list[int], es) -> Partition:
+def _cut_cycle_partition(cactus: Cactus, es) -> Partition:
     """Delete each cactus cycle through an edge whose lone origin is a
     twinless strong bridge but not in the strong bridges ``es``; the
     pieces left, mapped back through ``phi``, partition the vertices."""
-    drop = {edge[2] for edge, o in zip(cactus.edges, lone) if o >= 0 and o not in es}
+    drop = {c for _, _, c, o in cactus.edges if o >= 0 and o not in es}
     parent = list(range(cactus.node_count))
     for a, b, cycle_id, _ in cactus.edges:
         if cycle_id not in drop:
@@ -228,18 +224,17 @@ def two_etscc(g: DiGraph, verify: bool = False) -> Partition:
     parts: list = []
     blocks = [b for b in tscc(g, _parts=parts) if len(b) == 1]
     todo: list = []
-    while parts:  # popped, so each view is freed once analysed
+    while parts:  # popped, so each CSR is freed once analysed
         todo.extend(_tscc_graphs(parts.pop(), 2))
         while todo:
-            sub, verts, _, view = todo.pop()
-            if view is None:
-                view = underlying(sub)
-            cactus, lone = _cactus_lone_origins(view)
-            del view  # not held through the flow-graph passes
+            sub, verts, _, under = todo.pop()
+            csr, dfs = under or (_underlying_csr(sub), None)
+            cactus = _cactus_lone_origins(sub.n, csr, dfs)
+            del under, csr, dfs  # not held through the flow-graph passes
             passes = _strong_bridge_passes(sub)
             bd = next(passes)
             es = set(bd.flow_bridges).union(next(passes).flow_bridges)
-            part = _cut_cycle_partition(cactus, lone, es)
+            part = _cut_cycle_partition(cactus, es)
             if es:  # without strong bridges their partition is the whole TSCC
                 part = part.refine(_strong_bridge_partition(sub, bd, verify=verify))
             for piece in part:

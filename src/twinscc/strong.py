@@ -3,7 +3,8 @@
 A digraph is twinless strongly connected iff it is strongly connected and
 its simple underlying undirected graph is 2-edge-connected; the TSCCs of a
 digraph are therefore the 2-edge-connected components of the underlying
-graphs of its SCCs, computed per SCC on the induced subgraph.
+graphs of its SCCs, computed per SCC on one CSR read off the induced
+subgraph (``graph._underlying_csr``), whose DFS tree the 3ecc sweep reuses.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import DiGraph, Partition, underlying
-from .undirected import bridges_2ecc, three_ecc_classes
+from .graph import DiGraph, Partition, _underlying_csr
+from .undirected import _between, _bridges_2ecc, _three_ecc_classes
 from .dominators import strong_bridges
 
 
@@ -112,14 +113,14 @@ def _scc_subgraphs(g: DiGraph, components) -> list:
 
 
 def _scc_parts(g: DiGraph):
-    """Yield (tsccs, sub, verts, eids, view) per SCC of ``g``; the one TSCC
-    loop.
+    """Yield (tsccs, sub, verts, eids, under) per SCC of ``g``; the one
+    TSCC loop.
 
     ``sub`` is the SCC's induced subgraph (see ``_scc_subgraphs``: ``verts``
-    and ``eids`` map its vertices and edges back to ``g``), ``view`` its
-    underlying graph with the CSR already built, and ``tsccs`` the SCC's
-    TSCCs in ``sub``'s ids: the 2ecc blocks of ``view``.  A one-vertex SCC
-    {v} yields (((0,),), None, [v], None, None).
+    and ``eids`` map its vertices and edges back to ``g``) and ``tsccs`` the
+    SCC's TSCCs in ``sub``'s ids: the 2ecc blocks of its underlying CSR.
+    ``under`` is (that CSR, its 2ecc sweep's DFS tree) if it is one block,
+    else None.  A one-vertex SCC {v} yields (((0,),), None, [v], None, None).
     """
     sr = scc(g)
     subs = iter(_scc_subgraphs(g, sr.components))
@@ -128,21 +129,22 @@ def _scc_parts(g: DiGraph):
             yield ((0,),), None, list(members), None, None
             continue
         sub, verts, eids = next(subs)
-        view = underlying(sub)
-        _, twoecc = bridges_2ecc(view)
-        yield twoecc.blocks, sub, verts, eids, view
+        csr = _underlying_csr(sub)
+        _, twoecc, dfs = _bridges_2ecc(sub.n, csr)
+        under = (csr, dfs) if len(twoecc) == 1 else None
+        yield twoecc.blocks, sub, verts, eids, under
 
 
 def _tscc_graphs(part, min_size: int):
-    """Yield (sub, verts, eids, view) per TSCC of at least ``min_size``
+    """Yield (sub, verts, eids, under) per TSCC of at least ``min_size``
     vertices of one ``_scc_parts`` part: its induced subgraph, with the
-    maps back to ``g`` as there.  ``view`` is the SCC's view when the TSCC
-    is its whole SCC, else None; the other TSCCs of an SCC are split off
-    its subgraph in one pass over its edges."""
-    tsccs, sub, verts, eids, view = part
+    maps back to ``g`` as there.  ``under`` is the SCC's when the TSCC is
+    its whole SCC, else None; the other TSCCs of an SCC are split off its
+    subgraph in one pass over its edges."""
+    tsccs, sub, verts, eids, under = part
     if len(tsccs) == 1:
         if len(tsccs[0]) >= min_size:
-            yield sub, verts, eids, view
+            yield sub, verts, eids, under
         return
     for tsub, tverts, teids in sub.induced_blocks(
         b for b in tsccs if len(b) >= min_size
@@ -161,8 +163,8 @@ def tscc(g: DiGraph, _parts: Optional[list] = None) -> Partition:
     Per SCC, the blocks are the 2ecc blocks of the underlying undirected
     graph of the induced subgraph.  ``two_etscc`` passes a list as
     ``_parts`` to receive what ``_scc_parts`` yields, so that it reuses
-    each SCC's induced subgraph and underlying view instead of building
-    them again.
+    each SCC's induced subgraph, underlying CSR and DFS tree instead of
+    building them again.
     """
     parts = _scc_parts(g)
     if _parts is not None:
@@ -185,14 +187,13 @@ def twinless_strong_bridges(g: DiGraph) -> tuple[int, ...]:
     """
     result: set[int] = set()
     for part in _scc_parts(g):
-        for sub, _, eids, view in _tscc_graphs(part, 3):
+        for sub, _, eids, under in _tscc_graphs(part, 3):
             orig_eid = range(g.m) if eids is None else eids
             for e in strong_bridges(sub):
                 result.add(orig_eid[e])
-            if view is None:
-                view = underlying(sub)
-            cls = three_ecc_classes(view).block_index()
-            for i, (a, b) in enumerate(view.edges):
-                if len(view.origins[i]) == 1 and cls[a] != cls[b]:
-                    result.add(orig_eid[view.origins[i][0]])
+            csr, dfs = under or (_underlying_csr(sub), None)
+            cls = _three_ecc_classes(sub.n, *csr, dfs).block_index()
+            for _, _, e in _between(*csr, cls):
+                if e >= 0:  # one origin
+                    result.add(orig_eid[e])
     return tuple(sorted(result))

@@ -4,7 +4,9 @@ Every decomposition reads one depth-first forest of the graph's CSR
 arrays (``graph._dfs``, iterative, so deep graphs do not hit the recursion
 limit).  Bridges, 2ecc and biconnected blocks come from low points computed
 in one reverse-preorder sweep; none of them keeps an edge stack or a
-union-find.
+union-find.  The 2ecc and 3ecc kernels take CSR arrays and compare edge ids
+only for equality; the public functions wrap them, and the 2eTSCC path runs
+them on ``graph._underlying_csr``, sharing one tree.
 
 Inputs are undirected multigraphs; parallel edges are significant (a
 parallel pair is never a bridge) and self-loops are ignored.
@@ -25,13 +27,12 @@ def connected_components(g: UGraph) -> Partition:
     return Partition._grouped(enumerate(comp))
 
 
-def _low_points(g: UGraph):
-    """DFS forest of ``g`` plus low points: ``low[v]`` is the smallest
+def _low_points(n: int, start, dst, eids):
+    """DFS forest of a CSR graph plus low points: ``low[v]`` is the smallest
     preorder number reachable from v's subtree by one non-tree edge (a
     parallel copy of a tree edge counts).  One reverse-preorder sweep.
-    Returns (pre, order, parent, parent_eid, low)."""
-    start, dst, eids = g.csr()
-    pre, order, parent, parent_eid = _dfs(g.n, start, dst, eids, range(g.n))
+    Returns (dfs, low), ``dfs`` being what ``graph._dfs`` returns."""
+    dfs = pre, order, parent, parent_eid = _dfs(n, start, dst, eids, range(n))
     low = pre[:]
     for v in reversed(order):
         lv = low[v]
@@ -44,7 +45,26 @@ def _low_points(g: UGraph):
         p = parent[v]
         if p != -1 and lv < low[p]:
             low[p] = lv
-    return pre, order, parent, parent_eid, low
+    return dfs, low
+
+
+def _bridges_2ecc(n: int, csr):
+    """``bridges_2ecc`` on CSR arrays whose ids are equal at both ends of an
+    edge and unique per edge: (unsorted bridge ids, partition, DFS forest)."""
+    dfs, low = _low_points(n, *csr)
+    pre, order, parent, parent_eid = dfs
+    bridges: list[int] = []
+    label = [-1] * n
+    for v in order:
+        p = parent[v]
+        if p == -1:
+            label[v] = v
+        elif low[v] == pre[v]:
+            bridges.append(parent_eid[v])
+            label[v] = v
+        else:
+            label[v] = label[p]
+    return bridges, Partition._grouped(enumerate(label)), dfs
 
 
 def bridges_2ecc(g: UGraph) -> tuple[tuple[int, ...], Partition]:
@@ -55,19 +75,8 @@ def bridges_2ecc(g: UGraph) -> tuple[tuple[int, ...], Partition]:
     edge into v is a bridge iff low[v] = pre[v], and v's component is its
     parent's unless that edge is a bridge.
     """
-    pre, order, parent, parent_eid, low = _low_points(g)
-    bridges: list[int] = []
-    label = [-1] * g.n
-    for v in order:
-        p = parent[v]
-        if p == -1:
-            label[v] = v
-        elif low[v] == pre[v]:
-            bridges.append(parent_eid[v])
-            label[v] = v
-        else:
-            label[v] = label[p]
-    return tuple(sorted(bridges)), Partition._grouped(enumerate(label))
+    bridges, part, _ = _bridges_2ecc(g.n, g.csr())
+    return tuple(sorted(bridges)), part
 
 
 @dataclass(frozen=True)
@@ -88,7 +97,7 @@ def biconnected(g: UGraph) -> BlockForest:
     the block of the tree edge into its deeper end.
     """
     n = g.n
-    pre, order, parent, _, low = _low_points(g)
+    (pre, order, parent, _), low = _low_points(n, *g.csr())
     block_of = [-1] * n
     nblocks = 0
     artic: set[int] = set()
@@ -157,14 +166,14 @@ def biconnected(g: UGraph) -> BlockForest:
 
 def three_ecc_classes(g: UGraph) -> Partition:
     """3-edge-connected classes of a connected 2-edge-connected multigraph."""
-    n = g.n
-    if n == 0:
-        return Partition([])
-    if n == 1:
-        return Partition([[0]])
-    start, dst, eids = g.csr()
-    pre, order, parent, parent_eid = _dfs(n, start, dst, eids, (0,))
-    if len(order) != n:
+    return _three_ecc_classes(g.n, *g.csr())
+
+
+def _three_ecc_classes(n: int, start, dst, eids, dfs=None) -> Partition:
+    """``three_ecc_classes`` on CSR arrays with ids as in ``_bridges_2ecc``,
+    sweeping ``dfs``, a DFS tree from vertex 0, or else a new one."""
+    pre, order, parent, parent_eid = dfs or _dfs(n, start, dst, eids, range(n)[:1])
+    if parent.count(-1) > 1:  # a second root, or unreached vertices
         raise PreconditionError("graph is not connected")
 
     low = pre[:]
@@ -247,21 +256,29 @@ class Cactus:
 
 def three_ecc_cactus(g: UGraph) -> Cactus:
     """Contract 3ecc classes; group the surviving edges into cut cycles."""
-    classes = three_ecc_classes(g)
-    phi_map = classes.block_index()
-    phi = tuple(phi_map[v] for v in range(g.n))
-    k = len(classes)
-    q_pairs: list[tuple[int, int]] = []
-    q_origin: list[int] = []
-    for eid, (a, b) in enumerate(g.edges):
-        if a == b or phi[a] == phi[b]:
-            continue
-        q_pairs.append((phi[a], phi[b]))
-        q_origin.append(eid)
-    quotient = UGraph._trusted(k, tuple(q_pairs))
-    bf = biconnected(quotient)
+    return _cactus(three_ecc_classes(g), lambda phi: (
+        (phi[a], phi[b], eid) for eid, (a, b) in enumerate(g.edges) if phi[a] != phi[b]
+    ))
 
-    cycle_of_qedge = [-1] * len(q_pairs)
+
+def _between(start, dst, ids, label):
+    """(label[v], label[w], id) per CSR entry v < w whose labels differ."""
+    for v in range(len(start) - 1):
+        for j in range(start[v], start[v + 1]):
+            w = dst[j]
+            if v < w and label[w] != label[v]:
+                yield label[v], label[w], ids[j]
+
+
+def _cactus(classes: Partition, between) -> Cactus:
+    """Cactus of a 2ec multigraph with 3ecc ``classes``; ``between(phi)``
+    yields its edges between classes, in order, as (phi[a], phi[b], origin)."""
+    phi_map = classes.block_index()
+    phi = tuple(phi_map[v] for v in range(len(phi_map)))
+    q = list(between(phi))
+    quotient = UGraph._trusted(len(classes), tuple((a, b) for a, b, _ in q))
+    bf = biconnected(quotient)
+    cycle_of_qedge = [-1] * len(q)
     cycles: list[tuple[int, ...]] = []
     for blk in bf.blocks:
         # the block's own edges at each of its nodes (two per node on a cycle)
@@ -272,28 +289,18 @@ def three_ecc_cactus(g: UGraph) -> Cactus:
             inc.setdefault(b, []).append(qe)
         if any(len(es) != 2 for es in inc.values()):
             raise AssertionError("cactus block is not a cycle")
-        # walk the cycle from its smallest node, preferring small edge ids
+        # walk the cycle from its smallest node along the smaller of its
+        # edges, then on along each node's other edge
         v = min(inc)
-        walk: list[int] = []
-        used: set[int] = set()
+        walk = [min(inc[v])]
         while len(walk) < len(blk):
-            nxt = min((qe for qe in inc[v] if qe not in used), default=None)
-            if nxt is None:
-                raise AssertionError("cactus block is not a cycle")
-            used.add(nxt)
-            walk.append(nxt)
-            a, b = quotient.edges[nxt]
+            a, b = quotient.edges[walk[-1]]
             v = b if v == a else a
-        cid = len(cycles)
-        cycles.append(tuple(walk))
+            e, f = inc[v]
+            walk.append(f if e == walk[-1] else e)
         for qe in walk:
-            cycle_of_qedge[qe] = cid
+            cycle_of_qedge[qe] = len(cycles)
+        cycles.append(tuple(walk))
 
-    edges = tuple(
-        (q_pairs[i][0], q_pairs[i][1], cycle_of_qedge[i], q_origin[i])
-        for i in range(len(q_pairs))
-    )
-    cyc_as_edge_indices = []
-    for cyc in cycles:
-        cyc_as_edge_indices.append(tuple(cyc))
-    return Cactus(k, phi, edges, tuple(cyc_as_edge_indices), classes)
+    edges = tuple((a, b, cycle_of_qedge[i], o) for i, (a, b, o) in enumerate(q))
+    return Cactus(len(classes), phi, edges, tuple(cycles), classes)

@@ -173,6 +173,50 @@ def test_s_operation_requires_strong_bridge():
         s_operation(bik3(), 0)
 
 
+def _triangles_behind_one_exit(k: int) -> DiGraph:
+    """Triangle X on 0, 1, 2 and triangles C_1..C_k on 3i..3i+2, with two
+    edges from each C_i into C_(i-1), one edge from 0 and one from 2 into
+    each C_i, and one exit edge (3, 1) from C_1 back into X: m = 7k + 2.
+    The pipeline's one S-operation here has k + 1 members."""
+    edges = [(0, 1), (1, 2), (2, 0)]
+    for i in range(1, k + 1):
+        a = 3 * i
+        edges += [(a, a + 1), (a + 1, a + 2), (a + 2, a), (0, a), (2, a + 1)]
+        if i > 1:
+            edges += [(a, a - 3), (a + 1, a - 2)]
+    edges.append((3, 1))
+    return DiGraph(3 * k + 3, edges)
+
+
+def test_s_operation_reads_each_edge_a_constant_number_of_times(monkeypatch):
+    # scanning a member's edges once per SCC of the member minus its bridge
+    # reads about (k + 1) * m edges on this shape; bucketing them in one
+    # pass reads O(m)
+    from test_strong import _CountingEdges
+
+    from twinscc import auxiliary
+    from twinscc.pipeline import two_escc, two_escc_baseline
+
+    s_op = auxiliary.s_operation
+    seen = []
+
+    def counted(g, eid, cap=None):
+        edges = _CountingEdges(g.edges)
+        members = s_op(DiGraph._trusted(g.n, edges), eid, cap)
+        seen.append((len(members), edges.reads / g.m))
+        return members
+
+    monkeypatch.setattr(auxiliary, "s_operation", counted)
+    for k in (100, 400):
+        seen.clear()
+        g = _triangles_behind_one_exit(k)
+        assert len(two_escc(g)) == 2 * k + 4
+        assert [members for members, _ in seen] == [k + 1]
+        assert seen[0][1] <= 3, (k, seen)
+    g = _triangles_behind_one_exit(30)
+    assert two_escc(g) == two_escc_baseline(g)
+
+
 def test_final_family_bik3():
     fam = build_final_family(bik3(), 0)
     assert len(fam) == 1

@@ -134,6 +134,39 @@ def test_scc_tscc_strong_bridges(capsys, cyc3_file):
     assert out == "0 0 1\n1 1 2\n2 2 0\n"
 
 
+# a digraph with twins and parallels, and the outputs the CLI gave for it
+# when the simple underlying graph was still built as an underlying() view
+_TWINNY = (
+    "7 14\nD 4 5\nD 4 1\nD 3 1\nD 4 1\nD 2 3\nD 6 5\nD 5 0\nD 5 6\nD 0 6\n"
+    "D 4 5\nD 5 4\nD 5 3\nD 6 2\nD 1 4\n"
+)
+_TWINNY_OUT = {
+    ("cactus",): (
+        "node 0: 0\nnode 1: 1\nnode 2: 2\nnode 3: 3 5 6\nnode 4: 4\n"
+        "cycle 0: (0,3)#0 (0,3)#1\ncycle 1: (1,3)#2 (4,3)#7 (1,4)#3\n"
+        "cycle 2: (2,3)#4 (2,3)#5\n"
+    ),
+    ("cactus", "--json"): (
+        '{"phi":[0,1,2,3,4,3,3],"edges":[[0,3,0,0],[0,3,0,1],[1,3,1,2],[1,4,1,3],'
+        '[2,3,2,4],[2,3,2,5],[4,3,1,7]],"cycles":[[0,1],[2,6,3],[4,5]]}\n'
+    ),
+    ("twinless-strong-bridges",): "2 3 1\n4 2 3\n6 5 0\n8 0 6\n12 6 2\n13 1 4\n",
+    ("2etscc",): "0\n1\n2\n3\n4\n5 6\n",
+}
+_TWINNY_AUX_SHA256 = "ec7655fbdc8bb85382974195eb072091f5a72b7fc40d4e1c9b248b783e456e89"
+
+
+def test_outputs_on_twins_and_parallels_are_pinned(capsys, tmp_path):
+    import hashlib
+
+    p = tmp_path / "twinny.g"
+    p.write_text(_TWINNY)
+    for (cmd, *flags), want in _TWINNY_OUT.items():
+        assert _run(capsys, cmd, "--in", str(p), *flags) == (0, want, ""), cmd
+    code, out, _ = _run(capsys, "aux", "--in", str(p))
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == _TWINNY_AUX_SHA256
+
+
 def test_cactus_and_spqr(capsys, tri_undirected_file):
     code, out, _ = _run(capsys, "cactus", "--in", tri_undirected_file, "--check-oracle")
     assert code == 0

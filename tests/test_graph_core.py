@@ -17,6 +17,7 @@ from twinscc.graph import (
     refines,
     render_graph,
     UGraph,
+    _underlying_csr,
     underlying,
 )
 
@@ -129,6 +130,50 @@ def test_underlying_invariant_under_edge_permutation(rng):
     assert underlying(g).edges == underlying(h).edges
 
 
+def with_twins_and_parallels(g: DiGraph, rng) -> DiGraph:
+    """``g`` plus a twin for about a third of its edges, a parallel copy
+    for a sixth and a few self-loops, in shuffled edge order."""
+    edges = list(g.edges)
+    for u, v in g.edges:
+        r = rng.random()
+        if r < 0.33:
+            edges.append((v, u))
+        elif r < 0.5:
+            edges.append((u, v))
+        elif r < 0.53:
+            edges.append((u, u))
+    rng.shuffle(edges)
+    return DiGraph(g.n, edges)
+
+
+def test_underlying_csr_one_entry_per_pair_and_end(rng):
+    for _ in range(300):
+        n = rng.randrange(1, 10)
+        base = DiGraph(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(12))])
+        g = with_twins_and_parallels(base, rng)
+        start, dst, ids = _underlying_csr(g)
+        assert len(start) == n + 1 and start[0] == 0 and start[n] == len(dst) == len(ids)
+        origins: dict[frozenset, list[int]] = {}
+        for eid, (u, v) in enumerate(g.edges):
+            if u != v:  # self-loops are dropped
+                origins.setdefault(frozenset((u, v)), []).append(eid)
+        entries: dict[frozenset, list[int]] = {}
+        for v in range(n):
+            row = list(dst[start[v] : start[v + 1]])
+            assert v not in row and len(set(row)) == len(row)
+            for w, i in zip(row, ids[start[v] : start[v + 1]]):
+                entries.setdefault(frozenset((v, w)), []).append(i)
+        assert entries.keys() == origins.keys()
+        for pair, (a, b) in entries.items():  # once at each end
+            o = origins[pair]
+            assert a == b != -1
+            assert a == (o[0] if len(o) == 1 else -2 - min(o))
+            assert (a >= 0) == (len(o) == 1)
+        assert len({a for a, _ in entries.values()}) == len(entries)
+        view = underlying(g)  # the same pairs and origins as the public view
+        assert {frozenset(e): list(o) for e, o in zip(view.edges, view.origins)} == origins
+
+
 def test_partition_canonical_form():
     p = Partition([[3, 1], [2], [0, 4]])
     assert p.blocks == ((0, 4), (1, 3), (2,))
@@ -212,6 +257,37 @@ def test_parse_errors():
     for text in ["", "x y", "2 1\nQ 0 1", "2 2\nD 0 1", "2 1\nD 0 1\nD 1 0"]:
         with pytest.raises(ParseError):
             parse_graph(text)
+
+
+def test_parse_error_messages():
+    cases = {
+        "": "empty graph text",
+        "a b": "bad header 'a b': expected integers",
+        "3 1\nD 0 3": "vertex 3 out of range [0, 3)",
+        "3 1\nD 5 x": "vertex 5 out of range [0, 3)",  # the first bad end
+        "3 1\nD x 5": "unknown vertex label 'x'",
+        "3 1\nD 1 x": "unknown vertex label 'x'",
+        "3 1\nD 0 1.0": "unknown vertex label '1.0'",
+        "3 1\nD -1 0": "vertex -1 out of range [0, 3)",
+        "3 2\nV 0 a\nD a 1\nU b 2": "unknown vertex label 'b'",
+        "3 1\nV 0\nD 0 1": "bad label line 'V 0': expected 'V idx label'",
+        "3 1\nV 9 a\nD 0 1": "label index 9 out of range [0, 3)",
+        "3 1\nX 0 1": "bad edge line 'X 0 1': expected 'D u v' or 'U a b'",
+        "3 1\nD 0 1 2": "bad edge line 'D 0 1 2': expected 'D u v' or 'U a b'",
+        "3 2\nD 0 1": "header declares 2 edges but 1 found",
+    }
+    for text, message in cases.items():
+        with pytest.raises(ParseError) as info:
+            parse_graph(text)
+        assert str(info.value) == message, text
+
+
+def test_parse_labels_shadow_integers():
+    # a label is looked up before the token is read as an integer
+    g = parse_graph("3 2\nV 1 5\nV 2 0\nD 5 0\nd 0 +1\n")
+    assert g == DiGraph(3, [(1, 2), (2, 1)])
+    g = parse_graph("3 2\nU 0 1\nD 2 2\n")
+    assert g == MixedGraph(3, [(2, 2)], [(0, 1)])
 
 
 def test_parse_comments_and_labels():

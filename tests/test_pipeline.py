@@ -17,9 +17,10 @@ from twinscc.pipeline import (
     two_etscc,
     two_etscc_baseline,
 )
-from twinscc import auxiliary, dominators, graph, oracles, pipeline, strong
+from twinscc import auxiliary, dominators, graph, oracles, pipeline, undirected
 
 from named_graphs import bik2, bik3, cyc3, two_triangles
+from test_graph_core import with_twins_and_parallels
 from test_strong import et_gap_fixture
 
 
@@ -258,12 +259,17 @@ def test_only_members_that_can_split_are_analysed(monkeypatch):
 def test_two_etscc_without_strong_bridges_skips_the_family(calls):
     calls.watch("dominator_tree", dominators)
     calls.watch("build_first_level", auxiliary, pipeline)
-    calls.watch("underlying", graph, strong, pipeline)
+    calls.watch("underlying", graph, pipeline)
+    calls.watch("_dfs", undirected, dominators)
     g = oracles.gen_strongly_connected_fast(1024, 4096, random.Random(1))
     assert two_etscc(g) == Partition([range(g.n)])
-    # one forward and one reverse pass find no strong bridge; nothing more,
-    # and partition_et_minus_es reads the underlying view tscc built
-    assert calls == {"dominator_tree": 2, "build_first_level": 0, "underlying": 1}
+    # one forward and one reverse pass find no strong bridge; nothing more.
+    # The cactus reads the underlying CSR tscc built, and one DFS tree
+    # serves its 2ecc and 3ecc sweeps: the others are the cactus quotient's
+    # and the two passes'
+    assert calls == {
+        "dominator_tree": 2, "build_first_level": 0, "underlying": 0, "_dfs": 4
+    }
 
 
 def test_two_escc_without_strong_bridges_skips_the_family(calls):
@@ -347,3 +353,42 @@ def test_strong_bridge_seen_by_one_pass_only(g, forward):
     assert two_escc(g) == two_escc_baseline(g)
     assert two_etscc(g) == two_etscc_baseline(g)
     assert len(two_escc(g)) > 1
+
+
+def test_collapsed_pair_with_edge_id_0_at_the_dfs_root():
+    # two triangles sharing the twin pair 0, 1, which collapses into the
+    # first entry of the DFS root's row.  Coded -1 - 0 = -1, the id would
+    # equal the root's "no parent edge" and the 3ecc sweep would skip it:
+    # the classes came out as singletons and the cactus was no cactus
+    from twinscc.graph import UGraph, _underlying_csr, underlying
+    from twinscc.undirected import _three_ecc_classes
+
+    g = DiGraph(4, [(0, 1), (1, 0), (1, 2), (2, 0), (0, 3), (3, 1)])
+    _, dst, ids = csr = _underlying_csr(g)
+    assert (dst[0], ids[0]) == (1, -2)
+    classes = Partition([[0, 1], [2], [3]])
+    assert classes == oracles.oracle_3ecc(UGraph(4, underlying(g).edges))
+    assert _three_ecc_classes(4, *csr) == classes
+    assert two_etscc(g) == oracles.oracle_2etscc(g) == classes
+    assert twinless_strong_bridges(g) == oracles.oracle_twinless_strong_bridges(g)
+    assert partition_et_minus_es(g) == Partition([range(4)])
+
+
+@pytest.mark.parametrize("m", [100, 1000])
+@pytest.mark.parametrize("model", ["sc", "bridgey", "er"])
+def test_twin_and_parallel_heavy_vs_oracle_and_baseline(model, m):
+    # about a third of the pairs carry twins and a sixth parallels, in
+    # shuffled edge order, so collapsed pairs of every id meet the sweeps
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        if model == "sc":
+            base = oracles.gen_strongly_connected_fast(m // 6, 2 * m // 3, rng)
+        else:
+            base = oracles.gen_digraph(m // 4, 2 * m // 3, rng, model)
+        g = with_twins_and_parallels(base, rng)
+        assert tscc(g) == oracles.oracle_tscc_definitional(g), (model, m, seed)
+        assert two_etscc(g) == two_etscc_baseline(g), (model, m, seed)
+        if m <= 100 and seed == 1:
+            assert two_etscc(g) == oracles.oracle_2etscc(g), (model, m, seed)
+            tsb = oracles.oracle_twinless_strong_bridges(g)
+            assert twinless_strong_bridges(g) == tsb, (model, m, seed)
