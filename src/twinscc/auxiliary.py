@@ -86,14 +86,15 @@ def build_first_level(g: DiGraph, s: int, _bd=None) -> list[AuxGraph]:
         bd = flow_bridges(g, s)
     else:
         bd = _bd
-    idom = bd.dom.idom
+    # a bridge's tail is the immediate dominator of its head, a root
+    idom = {g.edges[e][1]: g.edges[e][0] for e in bd.flow_bridges}
     tree_of = bd.tree_of
     roots = sorted(bd.subtrees)
     root_set = set(roots)
 
     parent_root = {r: tree_of[idom[r]] for r in roots if r != s}
     depth: dict[int, int] = {s: 0}
-    for v in bd.dom.order:  # parents appear before children
+    for v in bd.dom.verts:  # DFS preorder: dominators come first
         if v in root_set and v != s:
             depth[v] = depth[parent_root[v]] + 1
 

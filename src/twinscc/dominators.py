@@ -13,16 +13,21 @@ one of the reverse flow graph (or both).
 ``dominator_tree`` is the simple link-eval Lengauer-Tarjan algorithm.  Its
 working lists are indexed by DFS preorder number, its eval is one loop
 with path halving, and its buckets are one linked list over two flat
-lists.  ``DomTree`` keeps ``idom`` as a tuple and ``pre``/``size``/
-``order`` as flat integer arrays; its children exist only as a transient
-CSR while ``order`` is built.
+lists.  ``DomTree`` keeps only what that loop leaves in preorder space;
+its vertex-space views (``idom``, ``pre``, ``size``, ``order``) are built
+on first read, which no pipeline path does.
+
+A flow bridge into v lies on every path from s to v, so on v's DFS tree
+path: it is the tree edge (par(v), v), and par(v) = idom(v).  So only a
+vertex whose immediate dominator is its DFS parent can have one, and only
+those vertices' in-edges are read.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .graph import DiGraph, PreconditionError, _dfs
 
@@ -33,29 +38,34 @@ class DomTree:
     ``idom[v]`` is v's immediate dominator (-1 for the source and for
     vertices without one).  ``order`` lists the tree in preorder, children
     by ascending vertex id; ``pre[v]`` is v's place in it and ``size[v]``
-    the size of v's subtree.
+    the size of v's subtree.  These four views are built together on first
+    read.  A tree from ``dominator_tree`` keeps its DFS by preorder number
+    i (``None`` in a tree built from ``idom``): vertex ``verts[i]``, whose
+    preorder number is ``dfn[verts[i]]``, idom ``verts[dom[i]]`` and DFS
+    parent ``verts[par[i]]``.
     """
 
-    __slots__ = ("s", "idom", "pre", "size", "order")
+    __slots__ = ("s", "dfn", "verts", "dom", "par", "_idom", "_views")
 
-    def __init__(self, s: int, idom: Sequence[int], n: int):
+    def __init__(self, s: int, idom: Optional[Sequence[int]], n: int, _lt=None):
         self.s = s
-        self.idom: tuple[int, ...] = tuple(idom)
-        idom = self.idom
-        # children as one CSR counted by idom, each run in descending id
-        # order so that the stack pops them ascending
-        start = [0] * (n + 1)
+        self._idom = None if idom is None else tuple(idom)
+        self.dfn, self.verts, self.dom, self.par = _lt or (None,) * 4
+        self._views = None
+
+    def _build_views(self):
+        idom = self._idom
+        if idom is None:
+            verts, dom = self.verts, self.dom
+            idom = [-1] * len(verts)
+            for i in range(1, len(verts)):
+                idom[verts[i]] = verts[dom[i]]
+            idom = tuple(idom)
+        n, s = len(idom), self.s
+        kids: list[list[int]] = [[] for _ in range(n)]  # by ascending id
         for v in range(n):
             if v != s and idom[v] >= 0:
-                start[idom[v]] += 1
-        for v in range(n):
-            start[v + 1] += start[v]
-        kids = [0] * start[n]
-        for v in range(n):
-            p = idom[v]
-            if v != s and p >= 0:
-                start[p] -= 1
-                kids[start[p]] = v
+                kids[idom[v]].append(v)
         pre = array("l", bytes(8 * n))
         size = array("l", [1]) * n
         order = array("l")
@@ -64,14 +74,16 @@ class DomTree:
             v = stack.pop()
             pre[v] = len(order)
             order.append(v)
-            stack.extend(kids[start[v] : start[v + 1]])
-        for v in reversed(order):
-            p = idom[v]
-            if v != s and p >= 0:
-                size[p] += size[v]
-        self.pre = pre
-        self.size = size
-        self.order = order
+            stack.extend(reversed(kids[v]))
+        for v in reversed(order[1:]):
+            size[idom[v]] += size[v]
+        self._views = idom, pre, size, order
+        return self._views
+
+    idom = property(lambda self: (self._views or self._build_views())[0])
+    pre = property(lambda self: (self._views or self._build_views())[1])
+    size = property(lambda self: (self._views or self._build_views())[2])
+    order = property(lambda self: (self._views or self._build_views())[3])
 
     def dominates(self, u: int, v: int) -> bool:
         """True iff u is an ancestor of v in the tree (u dominates v)."""
@@ -82,7 +94,7 @@ def dominator_tree(g: DiGraph, s: int) -> DomTree:
     """Lengauer-Tarjan, simple link-eval version (TOPLAS 1979).
 
     Everything is indexed by DFS preorder number, so vertex ids are read
-    only to walk the in-edges and to write ``idom``.  Vertices are
+    only to walk the in-edges, and the tree keeps those arrays.  Vertices are
     processed in decreasing preorder; each one is linked under its DFS
     parent once its semidominator is known.  An in-edge from a lower
     preorder number comes from a vertex not linked yet, whose eval is
@@ -110,6 +122,7 @@ def dominator_tree(g: DiGraph, s: int) -> DomTree:
     label = semi[:]
     anc = [-1] * n  # link-forest parent; -1 for a root (not linked yet)
     dom = [0] * n
+    ppar = [-1] * n  # DFS parent, by preorder
     bhead = [-1] * n
     bnext = [-1] * n
     for i in range(n - 1, 0, -1):
@@ -138,8 +151,7 @@ def dominator_tree(g: DiGraph, s: int) -> DomTree:
         semi[i] = sw
         bnext[i] = bhead[sw]
         bhead[sw] = i
-        p = dfn[par[w]]
-        anc[i] = p
+        anc[i] = ppar[i] = p = dfn[par[w]]
         v = bhead[p]
         bhead[p] = -1
         while v >= 0:  # the same eval, keeping the vertex
@@ -159,12 +171,10 @@ def dominator_tree(g: DiGraph, s: int) -> DomTree:
                 a = anc[x]
             dom[v] = u if semi[u] < p else p
             v = bnext[v]
-    idom = [-1] * n
     for i in range(1, n):
         if dom[i] != semi[i]:
             dom[i] = dom[dom[i]]
-        idom[verts[i]] = verts[dom[i]]
-    return DomTree(s, idom, n)
+    return DomTree(s, None, n, (dfn, verts, dom, ppar))
 
 
 @dataclass(frozen=True)
@@ -183,52 +193,69 @@ class BridgeDecomposition:
     subtrees: dict[int, tuple[int, ...]]
 
 
+def _find_bridges(g: DiGraph, s: int):
+    """(dominator tree, flow bridges, their heads) of ``g`` from ``s``,
+    both tuples ascending: ``flow_bridges`` without the decomposition."""
+    dt = dominator_tree(g, s)
+    dfn, verts, dom, par = dt.dfn, dt.verts, dt.dom, dt.par
+    n = g.n
+    cands = [i for i in range(1, n) if dom[i] == par[i]]
+    bridges, marked = [], []
+    if cands:
+        # dominator-subtree sizes, then a dominator-tree preorder, in DFS
+        # preorder space, where a dominator precedes what it dominates
+        size = [1] * n
+        for i in range(n - 1, 0, -1):
+            size[dom[i]] += size[i]
+        dpre = [0] * n
+        free = [1] * n  # the next number inside each subtree
+        for i in range(1, n):
+            p = dom[i]
+            dpre[i] = lo = free[p]
+            free[p] = lo + size[i]
+            free[i] = lo + 1
+        istart, isrc, ieid = g.in_csr()
+        for i in cands:
+            v, p = verts[i], verts[par[i]]
+            lo = dpre[i]
+            hi = lo + size[i]
+            candidate, count = -1, 0
+            for j in range(istart[v], istart[v + 1]):
+                u = isrc[j]
+                if u == p:
+                    count += 1
+                    candidate = ieid[j]
+                elif not lo <= dpre[dfn[u]] < hi:  # u is not dominated by v
+                    break
+            else:
+                if count == 1:
+                    bridges.append(candidate)
+                    marked.append(v)
+    return dt, tuple(sorted(bridges)), tuple(sorted(marked))
+
+
 def flow_bridges(g: DiGraph, s: int) -> BridgeDecomposition:
     """All flow-graph bridges of ``g`` seen from source ``s``.
 
     An edge (u, v) is a bridge iff u = d(v), it has no parallel sibling, and
     every other edge into v comes from a vertex dominated by v.
     """
-    dt = dominator_tree(g, s)
-    idom, pre, size = dt.idom, dt.pre, dt.size
-    istart, isrc, ieid = g.in_csr()
-    bridges: list[int] = []
-    marked: list[int] = []
-    is_root = bytearray(g.n)
-    is_root[s] = 1
-    for v in range(g.n):
-        if v == s:
-            continue
-        p = idom[v]
-        lo = pre[v]
-        hi = lo + size[v]
-        candidate = -1
-        count = 0
-        for j in range(istart[v], istart[v + 1]):
-            u = isrc[j]
-            if u == p:
-                count += 1
-                candidate = ieid[j]
-            elif not lo <= pre[u] < hi:  # u is not dominated by v
-                break
-        else:
-            if count == 1:
-                bridges.append(candidate)
-                marked.append(v)
-                is_root[v] = 1
-    tree_of = [-1] * g.n
-    for v in dt.order:
-        tree_of[v] = v if is_root[v] else tree_of[idom[v]]
+    dt, bridges, marked = _find_bridges(g, s)
+    n = g.n
+    if not bridges:
+        return BridgeDecomposition(s, dt, (), (), (s,) * n, {s: tuple(range(n))})
+    verts, dom = dt.verts, dt.dom
+    tree_of = [-1] * n
+    for v in (s, *marked):
+        tree_of[v] = v
+    for i, v in enumerate(verts):  # dominators first
+        if tree_of[v] < 0:
+            tree_of[v] = tree_of[verts[dom[i]]]
     subtrees: dict[int, list[int]] = {}
-    for v in range(g.n):
+    for v in range(n):
         subtrees.setdefault(tree_of[v], []).append(v)
     return BridgeDecomposition(
-        s,
-        dt,
-        tuple(sorted(bridges)),
-        tuple(sorted(marked)),
-        tuple(tree_of),
-        {r: tuple(vs) for r, vs in subtrees.items()},
+        s, dt, bridges, marked, tuple(tree_of), {r: tuple(vs) for r, vs in subtrees.items()}
     )
 
 
@@ -251,7 +278,6 @@ def strong_bridges(g: DiGraph, _checked: bool = False) -> tuple[int, ...]:
         raise PreconditionError("strong_bridges requires a strongly connected graph")
     if g.m == 0:
         return ()
-    s = 0
-    es = set(flow_bridges(g, s).flow_bridges)
-    es.update(flow_bridges(g.reverse(), s).flow_bridges)
+    es = set(_find_bridges(g, 0)[1])
+    es.update(_find_bridges(g.reverse(), 0)[1])
     return tuple(sorted(es))

@@ -177,7 +177,7 @@ class DiGraph:
     ``edges[i]`` is the (tail, head) pair of edge id ``i``.
     """
 
-    __slots__ = ("n", "edges", "_out", "_in", "_reverse_of")
+    __slots__ = ("n", "edges", "_out", "_in", "_reverse_of", "_tails_heads")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         n = int(n)
@@ -185,9 +185,7 @@ class DiGraph:
             raise GraphError("vertex count must be nonnegative")
         self.n = n
         self.edges = _checked_edges(edges, n, "tail", "head")
-        self._out = None
-        self._in = None
-        self._reverse_of = None
+        self._out = self._in = self._reverse_of = self._tails_heads = None
 
     @classmethod
     def _trusted(cls, n: int, edges: tuple[tuple[int, int], ...]) -> "DiGraph":
@@ -195,9 +193,7 @@ class DiGraph:
         g = cls.__new__(cls)
         g.n = n
         g.edges = edges
-        g._out = None
-        g._in = None
-        g._reverse_of = None
+        g._out = g._in = g._reverse_of = g._tails_heads = None
         return g
 
     def __getattr__(self, name: str):
@@ -213,10 +209,13 @@ class DiGraph:
         return len((self._reverse_of or self).edges)
 
     def _ends(self) -> tuple[array, array]:
-        return (
+        # tails and heads, built for the first CSR and kept until the second
+        ends = self._tails_heads or (
             array("l", [u for u, _ in self.edges]),
             array("l", [v for _, v in self.edges]),
         )
+        self._tails_heads = ends if self._out is None and self._in is None else None
+        return ends
 
     def out_csr(self):
         """(start, dst, eid) arrays of outgoing edges."""

@@ -43,7 +43,7 @@ from .graph import (
     underlying,
 )
 from .undirected import Cactus, _between, _bridges_2ecc, _cactus, _three_ecc_classes
-from .dominators import _strongly_connected, flow_bridges, strong_bridges
+from .dominators import _find_bridges, _strongly_connected, flow_bridges, strong_bridges
 from .strong import (
     _scc_subgraphs,
     _tscc_graphs,
@@ -146,15 +146,15 @@ def partition_strong_bridges(h: AuxGraph, verify: bool = False) -> Partition:
 
 
 def _strong_bridge_passes(g: DiGraph):
-    """Yield the forward, then the reverse flow-graph pass from source 0 of
-    the strongly connected ``g``: their flow bridges together are its
-    strong bridges, and the forward one also seeds the auxiliary family.
+    """Yield the forward flow-graph pass from source 0 of the strongly
+    connected ``g``, then the reverse pass's bridge ids: together they are
+    its strong bridges; the forward pass also seeds the auxiliary family.
 
     A caller that only asks whether a strong bridge exists stops after a
     forward pass that finds one.
     """
     yield flow_bridges(g, 0)
-    yield flow_bridges(g.reverse(), 0)
+    yield _find_bridges(g.reverse(), 0)[1]
 
 
 def _splittable_family(g: DiGraph, bd):
@@ -208,7 +208,7 @@ def two_escc(g: DiGraph) -> Partition:
     for sub, verts, _ in _scc_subgraphs(g, components):
         passes = _strong_bridge_passes(sub)
         bd = next(passes)
-        if not bd.flow_bridges and not next(passes).flow_bridges:
+        if not bd.flow_bridges and not next(passes):
             blocks.append(tuple(range(sub.n)) if verts is None else tuple(verts))
             continue
         for h in _splittable_family(sub, bd):
@@ -233,7 +233,7 @@ def two_etscc(g: DiGraph, verify: bool = False) -> Partition:
             del under, csr, dfs  # not held through the flow-graph passes
             passes = _strong_bridge_passes(sub)
             bd = next(passes)
-            es = set(bd.flow_bridges).union(next(passes).flow_bridges)
+            es = set(bd.flow_bridges).union(next(passes))
             part = _cut_cycle_partition(cactus, es)
             if es:  # without strong bridges their partition is the whole TSCC
                 part = part.refine(_strong_bridge_partition(sub, bd, verify=verify))

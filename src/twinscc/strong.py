@@ -9,7 +9,8 @@ subgraph (``graph._underlying_csr``), whose DFS tree the 3ecc sweep reuses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .graph import DiGraph, Partition, _underlying_csr
@@ -22,13 +23,19 @@ class SccResult:
     """SCC partition plus the condensation in topological order.
 
     ``comp_of[v]`` is the topological index of v's component:
-    every condensation edge (a, b) has a < b.
+    every condensation edge (a, b) has a < b.  The condensation edges are
+    built on first read.
     """
 
     partition: Partition
     comp_of: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
-    condensation_edges: tuple[tuple[int, int], ...]
+    _edges: tuple[tuple[int, int], ...] = field(repr=False, compare=False)
+
+    @cached_property
+    def condensation_edges(self) -> tuple[tuple[int, int], ...]:
+        c = self.comp_of
+        return tuple(sorted({(c[u], c[v]) for u, v in self._edges if c[u] != c[v]}))
 
 
 def scc(g: DiGraph) -> SccResult:
@@ -94,12 +101,7 @@ def scc(g: DiGraph) -> SccResult:
     k = len(comps)
     comp_of = tuple(k - 1 - comp[v] for v in range(n))
     components = tuple(reversed(comps))
-    cond = sorted(
-        {(comp_of[u], comp_of[v]) for u, v in g.edges if comp_of[u] != comp_of[v]}
-    )
-    return SccResult(
-        Partition._trusted(sorted(components)), comp_of, components, tuple(cond)
-    )
+    return SccResult(Partition._trusted(sorted(components)), comp_of, components, g.edges)
 
 
 def _scc_subgraphs(g: DiGraph, components) -> list:

@@ -123,6 +123,12 @@ def test_dominators_builds_one_tree(capsys, calls, cyc3_file):
     assert calls == {"dominator_tree": 1, "DomTree": 1}
 
 
+def test_dominators_builds_the_tree_views_once(capsys, calls, cyc3_file):
+    calls.watch("_build_views", dominators.DomTree)
+    code, _, _ = _run(capsys, "dominators", "--in", cyc3_file, "--check-oracle")
+    assert code == 0 and calls == {"_build_views": 1}
+
+
 def test_scc_tscc_strong_bridges(capsys, cyc3_file):
     code, out, _ = _run(capsys, "scc", "--in", cyc3_file)
     assert code == 0 and out == "0 1 2\n"

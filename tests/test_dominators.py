@@ -8,7 +8,7 @@ import pytest
 
 from twinscc.graph import DiGraph, PreconditionError
 from twinscc.dominators import dominator_tree, flow_bridges, strong_bridges
-from twinscc import oracles
+from twinscc import dominators, oracles
 
 from dominator_reference import (
     reference_flow_bridges,
@@ -176,3 +176,199 @@ def test_dominator_tree_and_flow_bridges_vs_reference(family, m):
         bd = flow_bridges(h, 0)
         assert list(bd.flow_bridges) == reference_flow_bridges(n, edges, 0)
         assert bd.dom.idom == dt.idom
+
+
+# Adversarial shapes for one flow-graph pass.  Each is strongly connected,
+# so both directions run from source 0; vertices 1.. are relabelled at
+# random, and the edge order (which fixes the DFS) is kept.
+
+
+def _relabelled(n: int, edges, rng) -> DiGraph:
+    perm = [0] + rng.sample(range(1, n), n - 1)
+    return DiGraph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _cycle(k: int, rng) -> DiGraph:
+    """A long directed cycle: every vertex is a candidate, every edge a
+    strong bridge."""
+    return _relabelled(k, [(i, (i + 1) % k) for i in range(k)], rng)
+
+
+def _chain(k: int, rng=None) -> DiGraph:
+    """A deep chain of strong bridges: (i, i+1) for i < k and (i, 0) for
+    1 <= i <= k (edge ids in that order)."""
+    edges = [(i, i + 1) for i in range(k)] + [(i, 0) for i in range(1, k + 1)]
+    return DiGraph(k + 1, edges) if rng is None else _relabelled(k + 1, edges, rng)
+
+
+def _star(k: int, rng) -> DiGraph:
+    """A star with return edges, and a few leaf-to-leaf edges that stop
+    their heads' spokes from being bridges."""
+    edges = [e for i in range(1, k + 1) for e in ((0, i), (i, 0))]
+    edges += [tuple(rng.sample(range(1, k + 1), 2)) for _ in range(k // 8)]
+    return _relabelled(k + 1, edges, rng)
+
+
+def _doubled_cycle(k: int, rng) -> DiGraph:
+    """A cycle with some tree edges doubled: candidates whose count is 2."""
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    edges += [edges[i] for i in rng.sample(range(k), k // 8)]
+    return _relabelled(k, edges, rng)
+
+
+def _diamonds(k: int, rng) -> DiGraph:
+    """Gadgets x -> y, x -> z, z -> y chained through y, then back to 0.
+    The DFS enters y from x first, so idom(y) = x is y's DFS parent, but
+    y has an in-edge from z, which y does not dominate."""
+    edges = []
+    x = 0
+    for i in range(1, k + 1):
+        y, z = 2 * i - 1, 2 * i
+        edges += [(x, y), (x, z), (z, y)]
+        x = y
+    edges.append((x, 0))
+    return _relabelled(2 * k + 1, edges, rng)
+
+
+_SHAPES = {
+    "cycle": _cycle,
+    "chain": _chain,
+    "star": _star,
+    "doubled_cycle": _doubled_cycle,
+    "diamonds": _diamonds,
+}
+
+
+def _reference_pass(h: DiGraph):
+    """Every field of ``flow_bridges(h, 0)`` and the four views of its
+    tree, from ``dominator_reference`` alone."""
+    n, edges = h.n, list(h.edges)
+    idom = reference_idom(n, edges, 0)
+    pre, size, order = reference_tree_numbers(n, idom, 0)
+    bridges = reference_flow_bridges(n, edges, 0)
+    marked = sorted(edges[e][1] for e in bridges)
+    roots = {0, *marked}
+    tree_of = [-1] * n
+    for v in order:
+        tree_of[v] = v if v in roots else tree_of[idom[v]]
+    subtrees: dict[int, list[int]] = {}
+    for v in range(n):
+        subtrees.setdefault(tree_of[v], []).append(v)
+    views = (tuple(idom), pre, size, order)
+    fields = (0, tuple(bridges), tuple(marked), tuple(tree_of))
+    return views, fields, [(r, tuple(vs)) for r, vs in subtrees.items()]
+
+
+def _pass(h: DiGraph):
+    dt = dominator_tree(h, 0)
+    views = (dt.idom, list(dt.pre), list(dt.size), list(dt.order))
+    bd = flow_bridges(h, 0)
+    assert bd.dom.idom == dt.idom
+    fields = (bd.s, bd.flow_bridges, bd.marked, bd.tree_of)
+    return views, fields, list(bd.subtrees.items())
+
+
+def _candidates(h: DiGraph) -> list[int]:
+    """Vertices whose immediate dominator is their DFS parent."""
+    dt = dominator_tree(h, 0)
+    return [dt.verts[i] for i in range(1, h.n) if dt.dom[i] == dt.par[i]]
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_adversarial_shapes_vs_reference(shape):
+    rng = random.Random(shape)
+    g = _SHAPES[shape](300, rng)
+    for h in (g, g.reverse()):
+        assert _pass(h) == _reference_pass(h)
+    small = _SHAPES[shape](24, rng)
+    assert strong_bridges(small) == oracles.oracle_strong_bridges(small)
+
+
+def test_adversarial_shapes_exercise_the_candidate_test():
+    rng = random.Random(1)
+    cycle = _cycle(200, rng)
+    assert len(_candidates(cycle)) == 199
+    assert strong_bridges(cycle) == tuple(range(200))
+    star = _star(200, rng)
+    assert len(_candidates(star)) > 175  # leaves the DFS enters from 0
+    assert 0 < len(flow_bridges(star, 0).marked) < 200
+    # a candidate whose tree edge is doubled is no bridge head
+    doubled = _doubled_cycle(200, rng)
+    idom = dominator_tree(doubled, 0).idom
+    twice = [v for v in _candidates(doubled) if doubled.edges.count((idom[v], v)) == 2]
+    assert twice and not set(twice) & set(flow_bridges(doubled, 0).marked)
+    # nor is one with an in-edge from outside its dominator subtree
+    diamonds = _diamonds(100, rng)
+    dt = dominator_tree(diamonds, 0)
+    outside = [
+        v
+        for v in _candidates(diamonds)
+        if any(y == v and u != dt.idom[v] and not dt.dominates(v, u) for u, y in diamonds.edges)
+    ]
+    assert len(outside) == 100 and not set(outside) & set(flow_bridges(diamonds, 0).marked)
+
+
+def test_deep_chain_of_strong_bridges_passes():
+    # the chain at k = 4,000 makes two_escc quadratic; the passes are linear
+    k = 4000
+    g = _chain(k)
+    fwd = flow_bridges(g, 0)
+    assert fwd.dom.idom == (-1, *range(k))
+    assert list(fwd.dom.order) == list(range(k + 1)) == list(fwd.dom.pre)
+    assert list(fwd.dom.size) == list(range(k + 1, 0, -1))
+    assert fwd.flow_bridges == tuple(range(k)) and fwd.marked == tuple(range(1, k + 1))
+    assert fwd.tree_of == tuple(range(k + 1)) and len(fwd.subtrees) == k + 1
+    rev = flow_bridges(g.reverse(), 0)  # every vertex hangs off 0: all candidates
+    assert rev.dom.idom == (-1,) + (0,) * k
+    assert list(rev.dom.order) == list(range(k + 1)) == list(rev.dom.pre)
+    assert list(rev.dom.size) == [k + 1] + [1] * k
+    assert rev.flow_bridges == (2 * k - 1,) and rev.marked == (k,)
+    assert rev.tree_of == (0,) * k + (k,)
+    assert rev.subtrees == {0: tuple(range(k)), k: (k,)}
+    assert strong_bridges(g) == tuple(range(k)) + (2 * k - 1,)
+
+
+def test_long_cycle_passes():
+    k = 10_000
+    g = DiGraph(k, [(i, (i + 1) % k) for i in range(k)])
+    fwd = flow_bridges(g, 0)
+    assert fwd.dom.idom == (-1, *range(k - 1))
+    assert fwd.flow_bridges == tuple(range(k - 1)) and fwd.marked == tuple(range(1, k))
+    rev = flow_bridges(g.reverse(), 0)
+    assert rev.dom.idom == (-1, *range(2, k), 0)
+    assert rev.flow_bridges == tuple(range(1, k)) and rev.marked == tuple(range(1, k))
+    assert strong_bridges(g) == tuple(range(k))
+
+
+def test_bridge_test_reads_in_edges_of_candidates_only(monkeypatch):
+    # after the Lengauer-Tarjan loop, only candidates' in-edge rows are read;
+    # flow_bridges calls the counting tree, _candidates the imported one
+    rows: list[int] = []
+
+    class Rows:
+        def __init__(self, start):
+            self.start = start
+
+        def __getitem__(self, v):
+            rows.append(v)
+            return self.start[v]
+
+    tree = dominators.dominator_tree
+
+    def counted_tree(h, s):
+        dt = tree(h, s)
+        start, src, eid = h.in_csr()
+        monkeypatch.setattr(h, "_in", (Rows(start), src, eid))
+        return dt
+
+    monkeypatch.setattr(dominators, "dominator_tree", counted_tree)
+    for g in (
+        oracles.gen_strongly_connected_fast(1024, 4096, random.Random(1)),
+        oracles.gen_digraph(512, 2048, random.Random(1), "bridgey"),
+    ):
+        for h in (g, g.reverse()):
+            rows.clear()
+            cands = _candidates(h)
+            flow_bridges(h, 0)
+            assert rows == [r for v in cands for r in (v, v + 1)]
+            assert len(cands) < h.n // 2

@@ -281,6 +281,19 @@ def test_two_escc_without_strong_bridges_skips_the_family(calls):
     assert calls == {"dominator_tree": 2, "build_first_level": 0}
 
 
+def test_pipeline_never_builds_the_dominator_tree_views(calls):
+    # the passes read the tree's preorder arrays only, with or without a
+    # strong bridge (the auxiliary family reads the bridges' tails)
+    calls.watch("_build_views", dominators.DomTree)
+    g = oracles.gen_strongly_connected_fast(1024, 4096, random.Random(1))
+    assert two_etscc(g) == Partition([range(g.n)])
+    assert two_escc(g) == Partition([range(g.n)])
+    h = oracles.gen_digraph(256, 1024, random.Random(1), "bridgey")
+    two_etscc(h)
+    two_escc(h)
+    assert calls == {"_build_views": 0}
+
+
 @pytest.mark.parametrize("m", [256, 1024, 4096])
 @pytest.mark.parametrize("family", ["strongly_connected_fast", "twinless_bridge_rich"])
 def test_core_families_mid_size_vs_baselines(family, m):
