@@ -15,7 +15,10 @@ every H_rr' with r' != r through the S-operation on its critical edge.
 Ordinary-at-both-levels (oo) vertices of the final family partition the
 vertex set, the family preserves 2-edge (twinless) strong connectivity
 among oo vertices, and deleting any strong bridge of a member splits off
-only a known set X_e of non-oo vertices as singleton SCCs.
+only a known set X_e of non-oo vertices as singleton SCCs.  Hence an edge
+(x, y) of a member is a strong bridge iff it is x's only out-edge or y's
+only in-edge: the lone source SCC left holds y, the lone sink SCC x, and
+one of them is a singleton.  First-level graphs can lack this shape.
 """
 
 from __future__ import annotations

@@ -12,13 +12,14 @@ result is the mutual refinement of two partitions:
   family: per member, contract every X_e in the underlying graph into a
   marked vertex and compute marked vertex-edge blocks.  Only members with
   at least two oo vertices can split, and a TSCC without strong bridges
-  skips this partition altogether.
+  skips this partition altogether.  An analysed member's strong bridges
+  come from its in- and out-degrees, with no flow-graph pass.
 
 Each fact is computed once per TSCC: ``tscc`` hands over the induced
 subgraph, the CSR of its simple underlying graph and, for a TSCC that is
 its whole SCC, its 2ecc sweep's DFS tree, which the 3ecc sweep reuses.
-One forward flow-graph pass from source 0 feeds both the strong bridges
-and the auxiliary family.  The CSR serves only the cactus, so
+One forward flow-graph pass from source 0 feeds both the TSCC's strong
+bridges and the auxiliary family.  The CSR serves only the cactus, so
 ``two_etscc`` builds that first and drops the CSR before the passes.
 ``two_escc`` runs the same passes per SCC and builds no family for an SCC
 without strong bridges: it is one 2eSCC.
@@ -40,7 +41,6 @@ from .graph import (
     _find,
     _underlying_csr,
     _union,
-    underlying,
 )
 from .undirected import Cactus, _between, _bridges_2ecc, _cactus, _three_ecc_classes
 from .dominators import _find_bridges, _strongly_connected, flow_bridges, strong_bridges
@@ -95,13 +95,18 @@ def partition_strong_bridges(h: AuxGraph, verify: bool = False) -> Partition:
     """Partition of h's oo vertices due to the strong bridges of h.
 
     A member with at most one oo vertex cannot split, so it is returned
-    as one block (or none) before any graph is built or any strong bridge
-    is computed.
+    as one block (or none) before any graph is built.  The others are
+    final members: deleting an edge (x, y) leaves one SCC plus
+    singletons, so it is a strong bridge iff it is x's only out-edge or
+    y's only in-edge, parallel copies counted.  ``verify`` checks that
+    count against the flow-graph passes, and each X_e against SCCs.
     """
     if len(h.oo) <= 1:
         return Partition._trusted([tuple(h.oo)] if h.oo else [])
     d, local, back = h.digraph()
-    sbs = strong_bridges(d, _checked=True)  # members are strongly connected
+    sbs = _lone_edges(d)
+    if verify and tuple(sbs) != strong_bridges(d, _checked=True):
+        raise AssertionError(f"degree-count strong bridges of {h.kind} are wrong")
     if not sbs:
         return Partition._trusted([tuple(sorted(h.oo))])
     xes = [classify_xe(h, e) for e in sbs]
@@ -115,27 +120,25 @@ def partition_strong_bridges(h: AuxGraph, verify: bool = False) -> Partition:
         for v in members[1:]:
             _union(parent, members[0], v)
 
-    classes: dict[int, list[int]] = {}
-    for v in range(d.n):
-        classes.setdefault(_find(parent, v), []).append(v)
-    order = sorted(classes, key=lambda r: classes[r][0])
-    qid = {r: i for i, r in enumerate(order)}
-    contracted = {local[v] for xe in xes for v in xe.members}
-    marked = sorted({qid[_find(parent, v)] for v in contracted})
+    # quotient vertex of each v: classes numbered by least member
+    qid: dict[int, int] = {}
+    q = [qid.setdefault(_find(parent, v), len(qid)) for v in range(d.n)]
+    classes: list[list[int]] = [[] for _ in qid]
+    for v, qv in enumerate(q):
+        classes[qv].append(v)
+    marked = sorted({q[local[v]] for xe in xes for v in xe.members})
 
-    view = underlying(d)
-    qedges = []
-    for a, b in view.edges:
-        qa, qb = qid[_find(parent, a)], qid[_find(parent, b)]
-        if qa != qb:
-            qedges.append((qa, qb))
-    blocks_q = marked_veb(UGraph._trusted(len(order), tuple(qedges)), marked)
+    # each pair of the simple underlying graph once, through the
+    # contraction; parallel quotient edges stay, marked_veb needs them
+    pairs = {(a, b) if a < b else (b, a) for a, b in d.edges if a != b}
+    qedges = tuple((q[a], q[b]) for a, b in sorted(pairs) if q[a] != q[b])
+    blocks_q = marked_veb(UGraph._trusted(len(classes), qedges), marked)
 
     blocks = []
     for qblock in blocks_q:
         members = []
-        for q in qblock:
-            for v in classes[order[q]]:
+        for qv in qblock:
+            for v in classes[qv]:
                 orig = back[v]
                 if orig in h.oo:
                     members.append(orig)
@@ -143,6 +146,16 @@ def partition_strong_bridges(h: AuxGraph, verify: bool = False) -> Partition:
             blocks.append(tuple(sorted(members)))
     # disjoint: marked_veb's blocks are, and so are the classes
     return Partition._trusted(sorted(blocks))
+
+
+def _lone_edges(d: DiGraph) -> list[int]:
+    """Ids of the edges that are their tail's only out-edge or their
+    head's only in-edge, parallel copies counted."""
+    outdeg, indeg = [0] * d.n, [0] * d.n
+    for x, y in d.edges:
+        outdeg[x] += 1
+        indeg[y] += 1
+    return [e for e, (x, y) in enumerate(d.edges) if outdeg[x] == 1 or indeg[y] == 1]
 
 
 def _strong_bridge_passes(g: DiGraph):

@@ -4,11 +4,18 @@ and X_e verification."""
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
 from twinscc.graph import DiGraph, PreconditionError
 from twinscc.auxiliary import (
+    KIND_H1,
+    KIND_HRR,
+    KIND_HSS,
+    KIND_S_RR,
+    KIND_S_SR,
+    KIND_TILDE,
     aux_strong_bridges,
     build_final_family,
     build_first_level,
@@ -16,7 +23,10 @@ from twinscc.auxiliary import (
     s_operation,
     verify_xe,
 )
-from twinscc import oracles
+from twinscc import oracles, pipeline
+from twinscc.dominators import flow_bridges, strong_bridges
+from twinscc.orientation import split_and_gadget, split_and_twin
+from twinscc.strong import tscc
 from twinscc.oracles import _reach, _scc_sets
 
 from named_graphs import bik3, cyc3, diamond_with_return, two_triangles
@@ -283,3 +293,47 @@ def test_two_edge_preservation(rng):
                     if sub.block_index()[local[u]] == sub.block_index()[local[v]]:
                         covered = True
             assert covered == (idx[u] == idx[v]), (g.edges, u, v)
+
+
+def _reduced_and_bridgey_graphs():
+    """bridgey digraphs, split-and-twin reductions and gadget reductions
+    in all three failure modes, of about 10^2 to 10^3 edges each."""
+    rng = random.Random(14)
+    for m in (128, 256, 512, 1024, 1024, 1024):
+        yield oracles.gen_digraph(m // 4, m, rng, "bridgey")
+    for n in (20, 40):
+        g = oracles.gen_mixed(n, 2 * n, 2 * n, rng)
+        yield split_and_twin(g).graph
+        red = split_and_gadget(g)
+        yield red.graph
+        for fail in (red.split_edges, red.critical_edges):  # "directed", "undirected"
+            copies = tuple(e for i, e in enumerate(red.graph.edges) if i not in fail)
+            yield DiGraph(red.graph.n, red.graph.edges + copies)
+
+
+def test_final_members_strong_bridges_by_degree_count():
+    # in a final member, deleting an edge leaves one SCC plus singletons,
+    # so its strong bridges are the edges that are their tail's only
+    # out-edge or their head's only in-edge; a first-level graph can lack
+    # that shape, and there the count can miss or invent a strong bridge
+    def agrees(h):
+        d, _, _ = h.digraph()
+        return tuple(pipeline._lone_edges(d)) == strong_bridges(d)
+
+    kinds, analysed, first_level_misses = set(), 0, 0
+    for g in _reduced_and_bridgey_graphs():
+        for block in tscc(g):
+            if len(block) < 2:
+                continue
+            sub = g.induced(block)[0]
+            for h in build_final_family(sub, 0):
+                assert agrees(h), (h.kind, h.edges)
+                kinds.add(h.kind)
+            for h in pipeline._splittable_family(sub, flow_bridges(sub, 0)):
+                if len(h.oo) >= 2:  # analysed by partition_strong_bridges
+                    assert agrees(h), (h.kind, h.edges)
+                    analysed += 1
+                elif h.kind == KIND_H1 and not agrees(h):
+                    first_level_misses += 1
+    assert kinds == {KIND_HSS, KIND_HRR, KIND_TILDE, KIND_S_SR, KIND_S_RR}
+    assert analysed >= 10 and first_level_misses > 0

@@ -221,10 +221,10 @@ def test_two_escc_bridgey_mid_size_vs_baseline(m):
 
 def test_only_members_that_can_split_are_analysed(monkeypatch):
     # a member with at most one oo vertex, or a first-level member with one
-    # ordinary vertex, cannot split a block, so neither gets a strong-bridge
-    # pass or a second level
+    # ordinary vertex, cannot split a block, so neither gets its strong
+    # bridges classified or a second level
     current = []
-    seen = {"strong_bridges": 0, "second_level": 0}
+    seen = {"classify_xe": 0, "second_level": 0}
 
     def analysed(h, verify=False):
         current.append(h)
@@ -233,11 +233,11 @@ def test_only_members_that_can_split_are_analysed(monkeypatch):
         finally:
             current.pop()
 
-    def bridges(d, _checked=False):
+    def classified(h, eid):
         if current:
-            seen["strong_bridges"] += 1
+            seen["classify_xe"] += 1
             assert len(current[-1].oo) >= 2, (current[-1].kind, current[-1].oo)
-        return strong_bridges(d, _checked=_checked)
+        return classify_xe(h, eid)
 
     def derived(h1, **kw):
         seen["second_level"] += 1
@@ -245,21 +245,37 @@ def test_only_members_that_can_split_are_analysed(monkeypatch):
         return second_level(h1, **kw)
 
     partition_strong_bridges = pipeline.partition_strong_bridges
-    strong_bridges = pipeline.strong_bridges
+    classify_xe = pipeline.classify_xe
     second_level = pipeline.second_level
     monkeypatch.setattr(pipeline, "partition_strong_bridges", analysed)
-    monkeypatch.setattr(pipeline, "strong_bridges", bridges)
+    monkeypatch.setattr(pipeline, "classify_xe", classified)
     monkeypatch.setattr(pipeline, "second_level", derived)
     g = oracles.gen_digraph(256, 1024, random.Random(1), "bridgey")
     assert two_etscc(g) == two_etscc_baseline(g)
     assert two_escc(g) == two_escc_baseline(g)
-    assert seen["strong_bridges"] > 0 and seen["second_level"] > 0
+    assert seen["classify_xe"] > 0 and seen["second_level"] > 0
+
+
+def test_member_strong_bridges_are_counted_not_passed(calls):
+    # an analysed member's strong bridges come from its in- and
+    # out-degrees: the only flow-graph passes left are the two per TSCC
+    # with at least two vertices and the reverse one per second level,
+    # and no step builds an underlying view
+    g = oracles.gen_digraph(256, 1024, random.Random(1), "bridgey")
+    expect = two_etscc_baseline(g)
+    big = sum(len(b) >= 2 for b in tscc(g))
+    calls.watch("dominator_tree", dominators)
+    calls.watch("underlying", graph)  # no module of the pipeline imports it
+    calls.watch("second_level", auxiliary, pipeline)
+    assert two_etscc(g) == expect
+    assert calls["dominator_tree"] == 2 * big + calls["second_level"] == 7
+    assert calls["underlying"] == 0
 
 
 def test_two_etscc_without_strong_bridges_skips_the_family(calls):
     calls.watch("dominator_tree", dominators)
     calls.watch("build_first_level", auxiliary, pipeline)
-    calls.watch("underlying", graph, pipeline)
+    calls.watch("underlying", graph)
     calls.watch("_dfs", undirected, dominators)
     g = oracles.gen_strongly_connected_fast(1024, 4096, random.Random(1))
     assert two_etscc(g) == Partition([range(g.n)])
