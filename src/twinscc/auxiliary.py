@@ -83,12 +83,11 @@ class XeClass:
 
 def build_first_level(g: DiGraph, s: int, _bd=None) -> list[AuxGraph]:
     """All first-level auxiliary graphs H(G_s, r), r in {s} + marked."""
-    if _bd is None:
+    bd = _bd
+    if bd is None:
         if not _strongly_connected(g):
             raise PreconditionError("auxiliary graphs require a strongly connected graph")
         bd = flow_bridges(g, s)
-    else:
-        bd = _bd
     # a bridge's tail is the immediate dominator of its head, a root
     idom = {g.edges[e][1]: g.edges[e][0] for e in bd.flow_bridges}
     tree_of = bd.tree_of
@@ -357,7 +356,7 @@ def _tilde(
     )
 
 
-def build_final_family(g: DiGraph, s: int, _bd=None) -> list[AuxGraph]:
+def build_final_family(g: DiGraph, s: int) -> list[AuxGraph]:
     """The family {H_ss} + {tilde H_rr} + S(H_sr, .) + S(H_rr', .) members.
 
     The oo-sets of the returned members partition the vertex set of ``g``.
@@ -382,7 +381,7 @@ def build_final_family(g: DiGraph, s: int, _bd=None) -> list[AuxGraph]:
             )
         ]
     members: list[AuxGraph] = []
-    for h1 in build_first_level(g, s, _bd=_bd):
+    for h1 in build_first_level(g, s):
         members.extend(second_level(h1))
     return members
 

@@ -1,9 +1,11 @@
 """Command-line interface: one subcommand per analysis, plus generators,
 oracle cross-checks, and the scaling benchmark.
 
-Exit codes: 0 success, 2 usage, 3 parse error, 4 precondition violation,
-5 oracle mismatch, 6 internal error (an assertion or the recursion limit
-failed inside twinscc; reported as one line, never as a traceback).
+Exit codes: 0 success, 2 usage (also a bad option value or a path that
+cannot be opened), 3 parse error (also undecodable input), 4 precondition
+violation, 5 oracle mismatch, 6 internal error (an assertion or the
+recursion limit failed inside twinscc).  Apart from argparse's usage
+message, each failure is one stderr line, not a traceback.
 Output is byte-stable for a fixed input and seed: plain text prints one
 block per line (space-separated vertex ids), --json prints the canonical
 JSON forms.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import random
 import sys
 import time
@@ -32,7 +35,7 @@ from .graph import (
     underlying,
 )
 from .undirected import three_ecc_cactus
-from .dominators import flow_bridges
+from .dominators import flow_bridges, strong_bridges
 from .strong import scc, tscc, twinless_strong_bridges
 from .auxiliary import build_final_family
 from .spqr import marked_veb, spqr
@@ -44,6 +47,10 @@ ORACLE_EDGE_LIMIT = 512
 
 
 class _OracleMismatch(Exception):
+    pass
+
+
+class _UsageError(Exception):
     pass
 
 
@@ -102,8 +109,6 @@ def _partition_text(p: Partition, as_json: bool) -> str:
 
 def _edges_text(g: DiGraph, eids: Sequence[int], as_json: bool) -> str:
     if as_json:
-        import json
-
         return json.dumps(list(eids), separators=(",", ":"))
     return "\n".join(f"{e} {g.edges[e][0]} {g.edges[e][1]}" for e in eids)
 
@@ -121,13 +126,23 @@ def _check(name: str, fast, slow) -> None:
         raise _OracleMismatch(f"{name}: fast path disagrees with the oracle")
 
 
+def _option(name: str, convert: Callable, text: str):
+    """``convert(text)``, with a ``ValueError`` reported as a usage error."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise _UsageError(f"invalid {name} value {text!r}") from None
+
+
 def _parse_sizes(sizes: str) -> list[int]:
+    """Sizes "a,b,..." or "lo..hi" (doubling), each a positive int or
+    "base^exp"; anything else raises ``ValueError``."""
     def one(tok: str) -> int:
-        tok = tok.strip()
-        if "^" in tok:
-            base, exp = tok.split("^")
-            return int(base) ** int(exp)
-        return int(tok)
+        base, caret, exp = tok.strip().partition("^")
+        b, e = int(base), int(exp) if caret else 1
+        if b < 1 or e < 0:
+            raise ValueError(tok)
+        return b ** e
 
     if ".." in sizes:
         lo, hi = sizes.split("..")
@@ -138,7 +153,7 @@ def _parse_sizes(sizes: str) -> list[int]:
             out.append(v)
             v *= 2
         return out
-    return [one(t) for t in sizes.split(",") if t.strip()]
+    return [one(t) for t in sizes.split(",")]
 
 
 def _cmd_partition(args, compute: Callable, oracle: Optional[Callable]) -> None:
@@ -154,7 +169,7 @@ def _cmd_partition(args, compute: Callable, oracle: Optional[Callable]) -> None:
 
 def _cmd_bench(args) -> None:
     rng = random.Random(args.seed)
-    sizes = _parse_sizes(args.sizes)
+    sizes = _option("--sizes", _parse_sizes, args.sizes)
     lines = ["m\tn\tseconds\tratio"]
     prev: Optional[float] = None
     for m in sizes:
@@ -167,7 +182,7 @@ def _cmd_bench(args) -> None:
         lines.append(f"{m}\t{n}\t{dt:.3f}\t{ratio}")
         prev = dt
     if args.baseline_at:
-        m = _parse_sizes(args.baseline_at)[0]
+        m = _option("--baseline-at", _parse_sizes, args.baseline_at)[0]
         n = max(8, m // 4)
         # twinless-bridge-rich instance: on bridge-free graphs the baseline
         # is a single TSCC computation and the margin is meaningless
@@ -267,7 +282,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         return _dispatch(args)
-    except ParseError as exc:
+    except (_UsageError, OSError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except (ParseError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3
     except _OracleMismatch as exc:
@@ -295,8 +313,6 @@ def _dispatch(args) -> int:
         _cmd_partition(args, compute, oracles.oracle_2etscc)
     elif cmd == "strong-bridges":
         g = _as_digraph(_load_graph(args.infile))
-        from .dominators import strong_bridges
-
         eids = strong_bridges(g)
         if args.check_oracle:
             _guard_oracle(g)
@@ -328,8 +344,6 @@ def _dispatch(args) -> int:
             _guard_oracle(u)
             _check(cmd, cac.classes, oracles.oracle_3ecc(u))
         if args.json:
-            import json
-
             _emit(args, json.dumps(
                 {"phi": list(cac.phi),
                  "edges": [list(e) for e in cac.edges],
@@ -347,8 +361,6 @@ def _dispatch(args) -> int:
         u = _as_ugraph(_load_graph(args.infile))
         tree = spqr(u)
         if args.json:
-            import json
-
             _emit(args, json.dumps(
                 [{"kind": nd.kind, "vertices": len(nd.vertices()), "edges": len(nd.edges)}
                  for nd in tree.nodes], separators=(",", ":")))
@@ -384,7 +396,9 @@ def _dispatch(args) -> int:
         _emit(args, "\n".join(lines))
     elif cmd == "mveb":
         u = _as_ugraph(_load_graph(args.infile))
-        marked = [int(t) for t in args.marked.split(",") if t.strip() != ""]
+        marked = _option(
+            "--marked", lambda t: [int(x) for x in t.split(",") if x.strip()], args.marked
+        )
         part = marked_veb(u, marked)
         if args.check_oracle:
             _guard_oracle(u)
@@ -408,10 +422,9 @@ def _dispatch(args) -> int:
         rng = random.Random(args.seed)
         if args.model == "mixed":
             g = oracles.gen_mixed(args.n, args.m - args.m // 2, args.m // 2, rng)
-            _emit(args, render_graph(g).rstrip("\n"))
         else:
             g = oracles.gen_digraph(args.n, args.m, rng, args.model)
-            _emit(args, render_graph(g).rstrip("\n"))
+        _emit(args, render_graph(g).rstrip("\n"))
     elif cmd == "bench":
         _cmd_bench(args)
     else:  # pragma: no cover

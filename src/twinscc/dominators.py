@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from .graph import DiGraph, PreconditionError, _dfs
 
@@ -35,36 +34,32 @@ from .graph import DiGraph, PreconditionError, _dfs
 class DomTree:
     """Immediate-dominator tree of a flow graph with O(1) ancestor queries.
 
-    ``idom[v]`` is v's immediate dominator (-1 for the source and for
-    vertices without one).  ``order`` lists the tree in preorder, children
-    by ascending vertex id; ``pre[v]`` is v's place in it and ``size[v]``
-    the size of v's subtree.  These four views are built together on first
-    read.  A tree from ``dominator_tree`` keeps its DFS by preorder number
-    i (``None`` in a tree built from ``idom``): vertex ``verts[i]``, whose
-    preorder number is ``dfn[verts[i]]``, idom ``verts[dom[i]]`` and DFS
-    parent ``verts[par[i]]``.
+    ``idom[v]`` is v's immediate dominator (-1 for the source).  ``order``
+    lists the tree in preorder, children by ascending vertex id; ``pre[v]``
+    is v's place in it and ``size[v]`` the size of v's subtree.  These four
+    views are built together on first read.  The tree keeps its DFS by
+    preorder number i: vertex ``verts[i]``, whose preorder number is
+    ``dfn[verts[i]]``, idom ``verts[dom[i]]`` and DFS parent
+    ``verts[par[i]]``.
     """
 
-    __slots__ = ("s", "dfn", "verts", "dom", "par", "_idom", "_views")
+    __slots__ = ("s", "dfn", "verts", "dom", "par", "_views")
 
-    def __init__(self, s: int, idom: Optional[Sequence[int]], n: int, _lt=None):
+    def __init__(self, s: int, dfn, verts, dom, par):
         self.s = s
-        self._idom = None if idom is None else tuple(idom)
-        self.dfn, self.verts, self.dom, self.par = _lt or (None,) * 4
+        self.dfn, self.verts, self.dom, self.par = dfn, verts, dom, par
         self._views = None
 
     def _build_views(self):
-        idom = self._idom
-        if idom is None:
-            verts, dom = self.verts, self.dom
-            idom = [-1] * len(verts)
-            for i in range(1, len(verts)):
-                idom[verts[i]] = verts[dom[i]]
-            idom = tuple(idom)
-        n, s = len(idom), self.s
+        verts, dom, s = self.verts, self.dom, self.s
+        n = len(verts)
+        idom = [-1] * n
+        for i in range(1, n):
+            idom[verts[i]] = verts[dom[i]]
+        idom = tuple(idom)
         kids: list[list[int]] = [[] for _ in range(n)]  # by ascending id
         for v in range(n):
-            if v != s and idom[v] >= 0:
+            if v != s:
                 kids[idom[v]].append(v)
         pre = array("l", bytes(8 * n))
         size = array("l", [1]) * n
@@ -174,7 +169,7 @@ def dominator_tree(g: DiGraph, s: int) -> DomTree:
     for i in range(1, n):
         if dom[i] != semi[i]:
             dom[i] = dom[dom[i]]
-    return DomTree(s, None, n, (dfn, verts, dom, ppar))
+    return DomTree(s, dfn, verts, dom, ppar)
 
 
 @dataclass(frozen=True)

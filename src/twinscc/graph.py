@@ -468,7 +468,7 @@ class Partition:
             t = tuple(sorted(set(int(x) for x in b)))
             if not t:
                 raise GraphError("partition blocks must be nonempty")
-            if len(t) != len(set(t)) or seen & set(t):
+            if not seen.isdisjoint(t):
                 raise GraphError("partition blocks must be disjoint")
             seen.update(t)
             norm.append(t)
@@ -510,9 +510,6 @@ class Partition:
         for v, lab in labels.items():
             groups.setdefault(lab, []).append(v)
         return cls(groups.values())
-
-    def ground_set(self) -> frozenset[int]:
-        return frozenset(v for b in self.blocks for v in b)
 
     def block_index(self) -> dict[int, int]:
         if self._index is None:

@@ -28,25 +28,20 @@ from .strong import scc
 from .undirected import bridges_2ecc
 from .pipeline import two_etscc
 
-GADGET_EDGE_NAMES = ("xz", "zx", "zu", "uv", "vy", "yu", "vz")
-
-
 @dataclass(frozen=True)
 class ReducedGraph:
-    """Digraph produced by a reduction, with provenance back to the input.
+    """Digraph produced by a reduction of a mixed graph.
 
     ``ordinary`` is the number of original vertices (the reduced graph
-    reuses their ids 0..ordinary-1; auxiliary vertices follow).  Each entry
-    of ``edge_source`` describes a reduced edge: ("split", directed edge id,
-    half), ("twin", undirected edge id, direction), or ("gadget",
-    undirected edge id, name).  ``critical_edges[i]`` is the reduced edge id
-    of the critical gadget edge of undirected edge i (gadget reductions
-    only).
+    reuses their ids 0..ordinary-1; auxiliary vertices follow).  The
+    halves of the split directed edges come first, two per edge in input
+    order, with ids ``split_edges``.  ``critical_edges[i]`` is the reduced
+    edge id of the critical gadget edge of undirected edge i (gadget
+    reductions only).
     """
 
     graph: DiGraph
     ordinary: int
-    edge_source: tuple[tuple[str, int, object], ...]
     split_edges: tuple[int, ...]
     critical_edges: tuple[int, ...]
 
@@ -54,67 +49,40 @@ class ReducedGraph:
         return part.restricted(range(self.ordinary))
 
 
+def _split(g: MixedGraph) -> list[tuple[int, int]]:
+    """(x, z), (z, y) per directed edge (x, y) of ``g``, through a fresh
+    vertex z = g.n + its edge id."""
+    edges = []
+    for z, (x, y) in enumerate(g.directed, g.n):
+        edges += ((x, z), (z, y))
+    return edges
+
+
 def split_and_twin(g: MixedGraph) -> ReducedGraph:
     """Split every directed edge; replace undirected edges by twin pairs."""
-    edges: list[tuple[int, int]] = []
-    source: list[tuple[str, int, object]] = []
-    split: list[int] = []
-    nxt = g.n
-    for i, (x, y) in enumerate(g.directed):
-        z = nxt
-        nxt += 1
-        split.append(len(edges))
-        edges.append((x, z))
-        source.append(("split", i, 1))
-        split.append(len(edges))
-        edges.append((z, y))
-        source.append(("split", i, 2))
-    for i, (x, y) in enumerate(g.undirected):
-        edges.append((x, y))
-        source.append(("twin", i, "fwd"))
-        edges.append((y, x))
-        source.append(("twin", i, "rev"))
+    edges = _split(g)
+    split = tuple(range(len(edges)))
+    for x, y in g.undirected:
+        edges += ((x, y), (y, x))
+    # endpoints from the checked ``g`` and fresh ids
     return ReducedGraph(
-        DiGraph(nxt, edges), g.n, tuple(source), tuple(split), ()
+        DiGraph._trusted(g.n + len(g.directed), tuple(edges)), g.n, split, ()
     )
 
 
 def split_and_gadget(g: MixedGraph) -> ReducedGraph:
     """Split every directed edge; replace undirected edges by gadgets."""
-    edges: list[tuple[int, int]] = []
-    source: list[tuple[str, int, object]] = []
-    split: list[int] = []
-    critical: list[int] = []
-    nxt = g.n
-    for i, (x, y) in enumerate(g.directed):
-        z = nxt
-        nxt += 1
-        split.append(len(edges))
-        edges.append((x, z))
-        source.append(("split", i, 1))
-        split.append(len(edges))
-        edges.append((z, y))
-        source.append(("split", i, 2))
-    for i, (x, y) in enumerate(g.undirected):
+    edges = _split(g)
+    split = tuple(range(len(edges)))
+    critical = []
+    nxt = g.n + len(g.directed)
+    for x, y in g.undirected:
         z, u, v = nxt, nxt + 1, nxt + 2
         nxt += 3
-        ends = {
-            "xz": (x, z),
-            "zx": (z, x),
-            "zu": (z, u),
-            "uv": (u, v),
-            "vy": (v, y),
-            "yu": (y, u),
-            "vz": (v, z),
-        }
-        for name in GADGET_EDGE_NAMES:
-            if name == "uv":
-                critical.append(len(edges))
-            edges.append(ends[name])
-            source.append(("gadget", i, name))
-    return ReducedGraph(
-        DiGraph(nxt, edges), g.n, tuple(source), tuple(split), tuple(critical)
-    )
+        critical.append(len(edges) + 3)  # (u, v)
+        edges += ((x, z), (z, x), (z, u), (u, v), (v, y), (y, u), (v, z))
+    # endpoints from the checked ``g`` and fresh ids
+    return ReducedGraph(DiGraph._trusted(nxt, tuple(edges)), g.n, split, tuple(critical))
 
 
 def strongly_orientable_blocks(g: MixedGraph) -> Partition:

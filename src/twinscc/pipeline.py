@@ -56,7 +56,6 @@ from .auxiliary import (
     build_first_level,
     classify_xe,
     second_level,
-    verify_xe,
 )
 from .spqr import marked_veb
 
@@ -91,28 +90,22 @@ def _cut_cycle_partition(cactus: Cactus, es) -> Partition:
     return Partition._grouped(enumerate(_find(parent, c) for c in cactus.phi))
 
 
-def partition_strong_bridges(h: AuxGraph, verify: bool = False) -> Partition:
+def partition_strong_bridges(h: AuxGraph) -> Partition:
     """Partition of h's oo vertices due to the strong bridges of h.
 
     A member with at most one oo vertex cannot split, so it is returned
     as one block (or none) before any graph is built.  The others are
     final members: deleting an edge (x, y) leaves one SCC plus
     singletons, so it is a strong bridge iff it is x's only out-edge or
-    y's only in-edge, parallel copies counted.  ``verify`` checks that
-    count against the flow-graph passes, and each X_e against SCCs.
+    y's only in-edge, parallel copies counted.
     """
     if len(h.oo) <= 1:
         return Partition._trusted([tuple(h.oo)] if h.oo else [])
     d, local, back = h.digraph()
     sbs = _lone_edges(d)
-    if verify and tuple(sbs) != strong_bridges(d, _checked=True):
-        raise AssertionError(f"degree-count strong bridges of {h.kind} are wrong")
     if not sbs:
         return Partition._trusted([tuple(sorted(h.oo))])
     xes = [classify_xe(h, e) for e in sbs]
-    if verify:
-        for xe in xes:
-            verify_xe(h, xe)
 
     parent = list(range(d.n))
     for xe in xes:
@@ -188,7 +181,7 @@ def _splittable_family(g: DiGraph, bd):
             yield from second_level(h1, _splittable=True)
 
 
-def _strong_bridge_partition(g: DiGraph, bd, verify: bool = False) -> Partition:
+def _strong_bridge_partition(g: DiGraph, bd) -> Partition:
     """Partition of V(g) due to strong bridges, assembled across the final
     auxiliary family (whose oo-sets partition V).
 
@@ -201,7 +194,7 @@ def _strong_bridge_partition(g: DiGraph, bd, verify: bool = False) -> Partition:
     """
     blocks = []
     for h in _splittable_family(g, bd):
-        blocks.extend(partition_strong_bridges(h, verify=verify).blocks)
+        blocks.extend(partition_strong_bridges(h).blocks)
     return Partition._trusted(sorted(blocks))  # the oo-sets partition V
 
 
@@ -232,7 +225,7 @@ def two_escc(g: DiGraph) -> Partition:
     return Partition._trusted(sorted(blocks))
 
 
-def two_etscc(g: DiGraph, verify: bool = False) -> Partition:
+def two_etscc(g: DiGraph) -> Partition:
     """2-edge twinless strongly connected components."""
     parts: list = []
     blocks = [b for b in tscc(g, _parts=parts) if len(b) == 1]
@@ -249,7 +242,7 @@ def two_etscc(g: DiGraph, verify: bool = False) -> Partition:
             es = set(bd.flow_bridges).union(next(passes))
             part = _cut_cycle_partition(cactus, es)
             if es:  # without strong bridges their partition is the whole TSCC
-                part = part.refine(_strong_bridge_partition(sub, bd, verify=verify))
+                part = part.refine(_strong_bridge_partition(sub, bd))
             for piece in part:
                 blocks.append(piece if verts is None else tuple(verts[i] for i in piece))
     return Partition._trusted(sorted(blocks))

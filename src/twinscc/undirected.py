@@ -85,7 +85,6 @@ class BlockForest:
 
     blocks: tuple[tuple[int, ...], ...]
     articulation: tuple[int, ...]
-    vertex_blocks: tuple[tuple[int, ...], ...]  # block ids containing each vertex
 
 
 def biconnected(g: UGraph) -> BlockForest:
@@ -120,21 +119,7 @@ def biconnected(g: UGraph) -> BlockForest:
     for eid, (a, b) in enumerate(g.edges):
         if a != b:
             members[block_of[a] if pre[a] > pre[b] else block_of[b]].append(eid)
-    blocks = [tuple(blk) for blk in members]
-    blocks.sort()
-    vblocks: list[list[int]] = [[] for _ in range(n)]
-    for bid, blk in enumerate(blocks):
-        seen: set[int] = set()
-        for eid in blk:
-            for v in g.edges[eid]:
-                if v not in seen:
-                    seen.add(v)
-                    vblocks[v].append(bid)
-    return BlockForest(
-        tuple(blocks),
-        tuple(sorted(artic)),
-        tuple(tuple(b) for b in vblocks),
-    )
+    return BlockForest(tuple(sorted(map(tuple, members))), tuple(sorted(artic)))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,8 @@ from twinscc.spqr import marked_veb
 from twinscc.cli import baseline_speedup
 from twinscc import oracles
 
+from test_pipeline import checked_two_etscc
+
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
@@ -95,7 +97,7 @@ def test_criterion_2_and_5_and_7_randomized():
             g = oracles.gen_strongly_connected(n, m, rng, model, tries=200)
         except Exception:
             g = oracles.gen_strongly_connected(n, max(m, n + 2), rng, "bridgey")
-        p_2et = two_etscc(g, verify=True)
+        p_2et = checked_two_etscc(g)
         p_2e = two_escc(g)
         assert p_2et == oracles.oracle_2etscc(g), g.edges
         assert p_2e == oracles.oracle_2escc(g), g.edges

@@ -78,6 +78,31 @@ def test_parse_error_exit_3(capsys, tmp_path):
     assert code == 3 and "parse error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["scc", "--in", "{tmp}/missing.g"], 2),
+        (["scc", "--in", "{tmp}"], 2),  # a directory
+        (["scc", "--in", "{cyc3}", "--out", "{tmp}/no/such/dir/x"], 2),
+        (["scc", "--in", "{undecodable}"], 3),
+        (["mveb", "--in", "{cyc3}", "--marked", "x"], 2),
+        (["bench", "--sizes", "abc"], 2),
+        (["bench", "--sizes", "0..8"], 2),  # doubling from 0 never ends
+        (["bench", "--sizes", ","], 2),
+        (["bench", "--sizes", "0^-1"], 2),  # not a ZeroDivisionError
+        (["bench", "--sizes", "2^6", "--baseline-at", "2^-1"], 2),
+    ],
+)
+def test_io_and_option_failures_exit_with_one_line(capsys, tmp_path, cyc3_file, argv, code):
+    bad = tmp_path / "bad.g"
+    bad.write_bytes(b"\xff\xfe")
+    paths = {"tmp": str(tmp_path), "cyc3": cyc3_file, "undecodable": str(bad)}
+    got, out, err = _run(capsys, *(a.format(**paths) for a in argv))
+    assert got == code and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("usage error: " if code == 2 else "parse error: ")
+
+
 def test_precondition_error_exit_4(capsys, tmp_path):
     p = tmp_path / "dag.g"
     p.write_text("2 1\nD 0 1\n")

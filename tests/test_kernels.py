@@ -71,6 +71,45 @@ def test_no_fast_path_module_imports_random():
         assert "random" not in imported, name
 
 
+def test_every_private_switch_is_set_inside_the_library():
+    # a defaulted ``_``-prefixed parameter is an internal switch: some call
+    # in the library passes it by keyword to a function of that name (a
+    # class's name for its ``__init__``), or it is dead or set only by
+    # tests, and goes
+    def callee(c: ast.Call):
+        f = c.func
+        return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+    trees = dict(_module_trees())
+    passed = {
+        (callee(c), kw.arg)
+        for tree in trees.values()
+        for c in ast.walk(tree)
+        if isinstance(c, ast.Call)
+        for kw in c.keywords
+    }
+    switches = set()
+    for tree in trees.values():
+        owner = {
+            id(f): cls.name
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for f in cls.body
+            if isinstance(f, ast.FunctionDef) and f.name == "__init__"
+        }
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                a = fn.args
+                positional = a.posonlyargs + a.args
+                defaulted = positional[len(positional) - len(a.defaults):] + [
+                    p for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None
+                ]
+                name = owner.get(id(fn), fn.name)
+                switches.update((name, p.arg) for p in defaulted if p.arg.startswith("_"))
+    assert switches  # the walk sees the switches there are
+    assert switches - passed == set()
+
+
 def _ladder(k: int) -> list[tuple[int, int]]:
     # top vertex 2i, bottom vertex 2i+1: rungs, then the two rails
     edges = [(2 * i, 2 * i + 1) for i in range(k)]

@@ -9,7 +9,8 @@ import time
 import pytest
 
 from twinscc.graph import DiGraph, Partition, PreconditionError, refines
-from twinscc.strong import scc, tscc, twinless_strong_bridges
+from twinscc.dominators import strong_bridges
+from twinscc.strong import _scc_parts, _tscc_graphs, scc, tscc, twinless_strong_bridges
 from twinscc.pipeline import (
     partition_et_minus_es,
     two_escc,
@@ -22,6 +23,28 @@ from twinscc import auxiliary, dominators, graph, oracles, pipeline, undirected
 from named_graphs import bik2, bik3, cyc3, two_triangles
 from test_graph_core import with_twins_and_parallels
 from test_strong import et_gap_fixture
+
+
+def checked_two_etscc(g: DiGraph) -> Partition:
+    """``two_etscc(g)``, after checking the two shortcuts it takes in each
+    family member it analyses (one with two or more oo vertices, of a TSCC
+    with strong bridges): the degree count of the member's strong bridges
+    against its flow-graph passes, and each X_e against SCCs."""
+    for part in _scc_parts(g):
+        for sub, _, _, _ in _tscc_graphs(part, 2):
+            passes = pipeline._strong_bridge_passes(sub)
+            bd = next(passes)
+            if not bd.flow_bridges and not next(passes):
+                continue
+            for h in pipeline._splittable_family(sub, bd):
+                if len(h.oo) < 2:
+                    continue
+                d, _, _ = h.digraph()
+                sbs = pipeline._lone_edges(d)
+                assert tuple(sbs) == strong_bridges(d), (g.edges, h.kind)
+                for e in sbs:
+                    auxiliary.verify_xe(h, auxiliary.classify_xe(h, e))
+    return two_etscc(g)
 
 
 def test_two_escc_examples():
@@ -59,7 +82,7 @@ def test_two_etscc_exhaustive_tiny():
         for m in range(6):
             for combo in itertools.combinations_with_replacement(pairs, m):
                 g = DiGraph(n, combo)
-                assert two_etscc(g, verify=True) == oracles.oracle_2etscc(g), combo
+                assert checked_two_etscc(g) == oracles.oracle_2etscc(g), combo
                 assert two_escc(g) == oracles.oracle_2escc(g), combo
 
 
@@ -68,7 +91,7 @@ def test_two_etscc_random_vs_oracle(rng):
         n = rng.randrange(1, 9)
         m = rng.randrange(0, 2 * n + 6) if n > 1 else 0
         g = oracles.gen_digraph(n, m, rng, model=rng.choice(["er", "bridgey"]))
-        assert two_etscc(g, verify=True) == oracles.oracle_2etscc(g), g.edges
+        assert checked_two_etscc(g) == oracles.oracle_2etscc(g), g.edges
         assert two_escc(g) == oracles.oracle_2escc(g), g.edges
 
 
@@ -116,7 +139,7 @@ def test_baseline_deadline():
 
 def test_gap_fixture_end_to_end():
     g = et_gap_fixture()
-    assert two_etscc(g, verify=True) == oracles.oracle_2etscc(g)
+    assert checked_two_etscc(g) == oracles.oracle_2etscc(g)
     assert two_etscc(g) == Partition([[0, 1, 2], [3, 4, 5]])
 
 
@@ -159,15 +182,12 @@ def test_partition_strong_bridges_equals_per_bridge_refinement(rng):
 
 def test_bridge_rich_generator_vs_oracle(rng):
     # the benchmark's baseline-comparison family, validated at small sizes
-    from twinscc.dominators import strong_bridges
-    from twinscc.strong import twinless_strong_bridges
-
     for _ in range(30):
         n = rng.randrange(8, 25)
         g = oracles.gen_twinless_bridge_rich(n, rng.randrange(4 * n, 5 * n), rng)
         assert strong_bridges(g) == ()
         assert len(twinless_strong_bridges(g)) >= n // 8 - 1
-        assert two_etscc(g, verify=True) == oracles.oracle_2etscc(g), g.edges
+        assert checked_two_etscc(g) == oracles.oracle_2etscc(g), g.edges
         assert two_etscc(g) == two_etscc_baseline(g)
 
 
@@ -208,7 +228,7 @@ def test_two_etscc_nested_cut_sides_vs_baseline():
         (13, 14), (14, 4), (4, 13), (14, 12), (2, 15), (15, 16), (16, 17),
         (17, 0), (0, 16),
     ])
-    assert two_etscc(g, verify=True) == two_etscc_baseline(g)
+    assert checked_two_etscc(g) == two_etscc_baseline(g)
     assert two_etscc(g) == Partition([[v] for v in range(18)])
 
 
@@ -226,10 +246,10 @@ def test_only_members_that_can_split_are_analysed(monkeypatch):
     current = []
     seen = {"classify_xe": 0, "second_level": 0}
 
-    def analysed(h, verify=False):
+    def analysed(h):
         current.append(h)
         try:
-            return partition_strong_bridges(h, verify=verify)
+            return partition_strong_bridges(h)
         finally:
             current.pop()
 
@@ -343,8 +363,6 @@ def _scc_mix(seed: int) -> DiGraph:
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_two_escc_and_two_etscc_on_mixed_sccs_vs_baselines(seed):
-    from twinscc.dominators import strong_bridges
-
     g = _scc_mix(seed)
     comps = [c for c in scc(g).components if len(c) > 1]
     bridged = [bool(strong_bridges(g.induced(c)[0])) for c in comps]
@@ -421,3 +439,45 @@ def test_twin_and_parallel_heavy_vs_oracle_and_baseline(model, m):
             assert two_etscc(g) == oracles.oracle_2etscc(g), (model, m, seed)
             tsb = oracles.oracle_twinless_strong_bridges(g)
             assert twinless_strong_bridges(g) == tsb, (model, m, seed)
+
+
+def _ring_of_cycles(k: int) -> DiGraph:
+    """k directed 4-cycles around a ring, each joined to the next by one
+    edge each way: from its vertex 0 to the next one's vertex 0, and back
+    from that cycle's vertex 2 to its vertex 2."""
+    edges = []
+    for i in range(k):
+        b, c = 4 * i, 4 * ((i + 1) % k)
+        edges += [(b, b + 1), (b + 1, b + 2), (b + 2, b + 3), (b + 3, b), (b, c), (c + 2, b + 2)]
+    return DiGraph(4 * k, edges)
+
+
+def _star_of_triangles(k: int) -> DiGraph:
+    """k triangles through the hub 0, one way round or, every other one,
+    both ways."""
+    edges = []
+    for i in range(k):
+        a, b = 2 * i + 1, 2 * i + 2
+        edges += [(0, a), (a, b), (b, 0)]
+        if i % 2:
+            edges += [(a, 0), (b, a), (0, b)]
+    return DiGraph(2 * k + 1, edges)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [_ring_of_cycles(100), _star_of_triangles(120)],
+    ids=["ring_of_100_cycles", "star_of_120_triangles"],
+)
+def test_adversarial_shapes_vs_baselines(g):
+    # one SCC whose strong bridges cut it into many singletons and one big
+    # block; the quadratic baselines take about 1 s here on a 2-core
+    # machine, the linear path a few milliseconds
+    t = time.perf_counter()
+    got_et, got_e = two_etscc(g), two_escc(g)
+    seconds = time.perf_counter() - t
+    assert got_et == two_etscc_baseline(g, deadline=time.perf_counter() + 60)
+    assert got_e == two_escc_baseline(g)
+    for p in (got_et, got_e):
+        assert len(p) > 1 and max(map(len, p)) >= 2
+    assert seconds < 10, f"the linear path took {seconds:.1f} s at m = {g.m}"

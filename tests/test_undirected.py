@@ -73,7 +73,8 @@ def test_articulation_iff_in_two_blocks(rng):
         bf = biconnected(g)
         assert set(bf.articulation) == set(oracles.oracle_articulation_points(g))
         for v in range(n):
-            if len(bf.vertex_blocks[v]) >= 2:
+            in_blocks = sum(any(v in g.edges[e] for e in blk) for blk in bf.blocks)
+            if in_blocks >= 2:
                 assert v in bf.articulation
 
 
