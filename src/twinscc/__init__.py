@@ -16,7 +16,6 @@ from .graph import (
     Partition,
     PreconditionError,
     UGraph,
-    UGraphView,
     graph_from_json,
     graph_to_json,
     parse_graph,
@@ -69,7 +68,6 @@ __all__ = [
     "DiGraph",
     "MixedGraph",
     "UGraph",
-    "UGraphView",
     "Partition",
     "GraphError",
     "ParseError",

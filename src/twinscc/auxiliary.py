@@ -82,73 +82,88 @@ class XeClass:
 
 
 def build_first_level(g: DiGraph, s: int, _bd=None) -> list[AuxGraph]:
-    """All first-level auxiliary graphs H(G_s, r), r in {s} + marked."""
+    """All first-level auxiliary graphs H(G_s, r), r in {s} + marked.
+
+    One depth-first pass over the tree of roots keeps the root path on a
+    stack and reads each edge (x, y) once, at x's root a.  An edge inside
+    T(a) goes into a's member, and the bridge (d(y), y) into a's and y's.
+    Any other edge leaves D(b) for b, the root of y's subtree, which is on
+    the stack at some depth k: it goes into a's member as (x, d(a)) and
+    into b's as (c, y), c the root after b on the stack.  Each member r in
+    between gets (z, d(r)) from its child root z, capped at two copies, so
+    D(z) keeps only the two least such depths k; once D(z) is done, its
+    copies are how many of them lie above r.  This is O(m) in all.
+    """
     bd = _bd
     if bd is None:
         if not _strongly_connected(g):
             raise PreconditionError("auxiliary graphs require a strongly connected graph")
         bd = flow_bridges(g, s)
+    dt = bd.dom
     # a bridge's tail is the immediate dominator of its head, a root
-    idom = {g.edges[e][1]: g.edges[e][0] for e in bd.flow_bridges}
-    tree_of = bd.tree_of
-    roots = sorted(bd.subtrees)
-    root_set = set(roots)
+    idom = {r: dt.verts[dt.dom[dt.dfn[r]]] for r in bd.marked}
+    tree_of, subtrees = bd.tree_of, bd.subtrees
+    kids: dict[int, list[int]] = {r: [] for r in subtrees}
+    for r, d in idom.items():
+        kids[tree_of[d]].append(r)
+    counts: dict[int, dict[tuple[int, int], int]] = {r: {} for r in subtrees}
 
-    parent_root = {r: tree_of[idom[r]] for r in roots if r != s}
-    depth: dict[int, int] = {s: 0}
-    for v in bd.dom.verts:  # DFS preorder: dominators come first
-        if v in root_set and v != s:
-            depth[v] = depth[parent_root[v]] + 1
-
-    counts: dict[int, dict[tuple[int, int], int]] = {r: {} for r in roots}
-
-    def emit(r: int, u: int, v: int) -> None:
-        if u == v:
-            return
-        bucket = counts[r]
-        c = bucket.get((u, v), 0)
+    def emit(bucket: dict[tuple[int, int], int], key: tuple[int, int]) -> None:
+        c = bucket.get(key, 0)
         if c < 2:
-            bucket[(u, v)] = c + 1
+            bucket[key] = c + 1
 
-    for x, y in g.edges:
-        if x == y:
+    start, dst, _ = g.out_csr()
+    depth = [-1] * g.n
+    low: dict[int, tuple[int, int]] = {}  # the two least depths k from D(r)
+    path: list[int] = []
+    todo = [s]
+    while todo:
+        a = todo.pop()
+        if a < 0:  # D(~a) is done: its copies go into its parent's member
+            z = path.pop()
+            if path:
+                p, dp = path[-1], len(path) - 1
+                k1, k2 = low[z]
+                if k1 < dp:
+                    counts[p][(z, idom[p])] = 1 + (k2 < dp)
+                l1, l2 = low[p]
+                low[p] = (k1, min(l1, k2)) if k1 < l1 else (l1, min(l2, k1))
             continue
-        ax, ay = tree_of[x], tree_of[y]
-        cx: list[int] = []
-        cy: list[int] = []
-        while ax != ay:
-            if depth[ax] >= depth[ay]:
-                cx.append(ax)
-                ax = parent_root[ax]
-            else:
-                cy.append(ay)
-                ay = parent_root[ay]
-        top = ax
-        for i, r in enumerate(cx):
-            emit(r, x if i == 0 else cx[i - 1], idom[r])
-        if cy:
-            # an edge entering D(r) from outside must be the bridge (d(r), r)
-            if not (cy[0] == y and x == idom[y]):
-                raise AssertionError("unexpected edge into a dominated subtree")
-            emit(cy[0], x, y)
-        emit(top, x if not cx else cx[-1], y if not cy else cy[-1])
-
-    children: dict[int, list[int]] = {r: [] for r in roots}
-    for z, r in parent_root.items():
-        children[r].append(z)
+        da = depth[a] = len(path)
+        path.append(a)
+        todo.append(~a)
+        todo.extend(kids[a])
+        own = counts[a]
+        k1 = k2 = da  # the two least depths k from T(a); da stands for none
+        for x in subtrees[a]:
+            for y in dst[start[x] : start[x + 1]]:
+                b = tree_of[y]
+                if b == a:
+                    if x != y:
+                        emit(own, (x, y))
+                elif idom.get(y) == x:  # the bridge (d(y), y)
+                    counts[y][(x, y)] = 1
+                    emit(own, (x, y))
+                else:
+                    k = depth[b]
+                    # an edge entering D(r) from outside must be the bridge (d(r), r)
+                    if not 0 <= k < da or path[k] != b:
+                        raise AssertionError("unexpected edge into a dominated subtree")
+                    emit(own, (x, idom[a]))
+                    emit(counts[b], (path[k + 1], y))
+                    if k < k2:
+                        k1, k2 = min(k, k1), max(k, k1)
+        low[a] = k1, k2
     out = []
-    for r in roots:
-        ordinary = frozenset(bd.subtrees[r])
-        verts = set(bd.subtrees[r])
-        verts.update(children[r])
+    for r in sorted(subtrees):
+        ordinary = frozenset(subtrees[r])
+        verts = ordinary.union(kids[r])
         crit = None
         if r != s:
-            verts.add(idom[r])
             crit = (idom[r], r)
-        edges = []
-        for (u, v), c in counts[r].items():
-            edges.extend([(u, v)] * c)
-        edges.sort()
+            verts |= {idom[r]}
+        edges = sorted(e for e, c in counts[r].items() for _ in range(c))
         out.append(
             AuxGraph(
                 kind=KIND_H1,
@@ -365,21 +380,6 @@ def build_final_family(g: DiGraph, s: int) -> list[AuxGraph]:
     at least two ordinary vertices: those with one ordinary vertex r yield
     members whose oo-sets are exactly {r}, which cannot split.
     """
-    if g.n == 1:
-        return [
-            AuxGraph(
-                kind=KIND_HSS,
-                r=s,
-                r2=s,
-                vertices=(0,),
-                edges=(),
-                ordinary1=frozenset({0}),
-                ordinary2=frozenset({0}),
-                attached=frozenset(),
-                oo=frozenset({0}),
-                critical_edge=None,
-            )
-        ]
     members: list[AuxGraph] = []
     for h1 in build_first_level(g, s):
         members.extend(second_level(h1))

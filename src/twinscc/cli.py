@@ -1,5 +1,5 @@
-"""Command-line interface: one subcommand per analysis, plus generators,
-oracle cross-checks, and the scaling benchmark.
+"""Command-line interface: one subcommand per analysis, plus a generator
+and oracle cross-checks.
 
 Exit codes: 0 success, 2 usage (also a bad option value or a path that
 cannot be opened), 3 parse error (also undecodable input), 4 precondition
@@ -18,7 +18,6 @@ import functools
 import json
 import random
 import sys
-import time
 from typing import Callable, Optional, Sequence
 
 from .graph import (
@@ -87,7 +86,7 @@ def _as_ugraph(g) -> UGraph:
         if g.directed:
             raise PreconditionError("this analysis needs an undirected graph")
         return UGraph(g.n, g.undirected)
-    return UGraph(g.n, underlying(g).edges)
+    return underlying(g)
 
 
 def _emit(args, text: str) -> None:
@@ -134,28 +133,6 @@ def _option(name: str, convert: Callable, text: str):
         raise _UsageError(f"invalid {name} value {text!r}") from None
 
 
-def _parse_sizes(sizes: str) -> list[int]:
-    """Sizes "a,b,..." or "lo..hi" (doubling), each a positive int or
-    "base^exp"; anything else raises ``ValueError``."""
-    def one(tok: str) -> int:
-        base, caret, exp = tok.strip().partition("^")
-        b, e = int(base), int(exp) if caret else 1
-        if b < 1 or e < 0:
-            raise ValueError(tok)
-        return b ** e
-
-    if ".." in sizes:
-        lo, hi = sizes.split("..")
-        lo_v, hi_v = one(lo), one(hi)
-        out = []
-        v = lo_v
-        while v <= hi_v:
-            out.append(v)
-            v *= 2
-        return out
-    return [one(t) for t in sizes.split(",")]
-
-
 def _cmd_partition(args, compute: Callable, oracle: Optional[Callable]) -> None:
     g = _as_digraph(_load_graph(args.infile))
     part = compute(g)
@@ -165,51 +142,6 @@ def _cmd_partition(args, compute: Callable, oracle: Optional[Callable]) -> None:
         _guard_oracle(g)
         _check(args.command, part, oracle(g))
     _emit(args, _partition_text(part, args.json))
-
-
-def _cmd_bench(args) -> None:
-    rng = random.Random(args.seed)
-    sizes = _option("--sizes", _parse_sizes, args.sizes)
-    lines = ["m\tn\tseconds\tratio"]
-    prev: Optional[float] = None
-    for m in sizes:
-        n = max(2, m // 4)
-        g = oracles.gen_strongly_connected_fast(n, m, rng)
-        t0 = time.perf_counter()
-        two_etscc(g)
-        dt = time.perf_counter() - t0
-        ratio = "" if prev is None else f"{dt / prev:.2f}"
-        lines.append(f"{m}\t{n}\t{dt:.3f}\t{ratio}")
-        prev = dt
-    if args.baseline_at:
-        m = _option("--baseline-at", _parse_sizes, args.baseline_at)[0]
-        n = max(8, m // 4)
-        # twinless-bridge-rich instance: on bridge-free graphs the baseline
-        # is a single TSCC computation and the margin is meaningless
-        g = oracles.gen_twinless_bridge_rich(n, m, rng)
-        speedup, finished = baseline_speedup(g, factor=args.baseline_factor)
-        lines.append(
-            f"baseline@{m}\tspeedup\t{speedup:.1f}x\t{'exact' if finished else 'at least'}"
-        )
-    _emit(args, "\n".join(lines))
-
-
-def baseline_speedup(g: DiGraph, factor: float = 1.0) -> tuple[float, bool]:
-    """Measured baseline/fast time ratio, with the baseline run aborted once
-    it exceeds ``factor`` * 10x the fast time (the ratio is then a lower
-    bound and the second element is False)."""
-    t0 = time.perf_counter()
-    fast = two_etscc(g)
-    t_fast = max(time.perf_counter() - t0, 1e-9)
-    budget = max(10.0 * t_fast * factor, 1.0)
-    start = time.perf_counter()
-    try:
-        part = two_etscc_baseline(g, deadline=start + budget)
-    except TimeoutError:
-        return (time.perf_counter() - start) / t_fast, False
-    if part != fast:
-        raise _OracleMismatch("baseline disagrees with the fast path")
-    return (time.perf_counter() - start) / t_fast, True
 
 
 @functools.cache
@@ -264,12 +196,6 @@ def _parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--model", choices=("er", "bridgey", "mixed"), default="er")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", dest="out", default="-")
-    p_bench = sub.add_parser("bench")
-    p_bench.add_argument("--sizes", default="2^14..2^20")
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--out", dest="out", default="-")
-    p_bench.add_argument("--baseline-at", default="", help="also measure the baseline speedup at this size")
-    p_bench.add_argument("--baseline-factor", type=float, default=1.0)
     return parser
 
 
@@ -419,14 +345,16 @@ def _dispatch(args) -> int:
             _check(cmd, part, oracles.oracle_edge_resilient(g, fail=args.fail))
         _emit(args, _partition_text(part, args.json))
     elif cmd == "gen":
+        if args.n < 0 or args.m < 0:
+            raise _UsageError("--n and --m must be nonnegative")
+        if args.m > 0 and args.n < 2:
+            raise _UsageError(f"--m {args.m} needs --n 2 or more: no self-loops are made")
         rng = random.Random(args.seed)
         if args.model == "mixed":
             g = oracles.gen_mixed(args.n, args.m - args.m // 2, args.m // 2, rng)
         else:
             g = oracles.gen_digraph(args.n, args.m, rng, args.model)
         _emit(args, render_graph(g).rstrip("\n"))
-    elif cmd == "bench":
-        _cmd_bench(args)
     else:  # pragma: no cover
         raise PreconditionError(f"unknown command {cmd}")
     return 0

@@ -408,47 +408,13 @@ class UGraph:
         return f"UGraph(n={self.n}, m={self.m})"
 
 
-class UGraphView(UGraph):
-    """Simple underlying undirected graph of a DiGraph.
-
-    One undirected edge per unordered pair {u, v} that carries at least one
-    directed edge; ``origins[i]`` lists the originating directed edge ids of
-    undirected edge ``i`` (twins and parallels collapse into one edge).
-    """
-
-    __slots__ = ("origins",)
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]], origins: Iterable[Sequence[int]]):
-        super().__init__(n, edges)
-        self.origins: tuple[tuple[int, ...], ...] = tuple(tuple(o) for o in origins)
-        if len(self.origins) != len(self.edges):
-            raise GraphError("one origin multiset per undirected edge required")
-
-
-def underlying(g: DiGraph) -> UGraphView:
-    """Simple undirected graph of ``g``; self-loops are dropped.
-
-    An edge (u, v) with u < v is its own key, shared with ``g``.  A pair
-    maps to its one edge id, and to a list only once a second edge joins
-    it: most pairs of a sparse graph carry one edge."""
-    ids: dict[tuple[int, int], Union[int, list[int]]] = {}
-    for eid, e in enumerate(g.edges):
-        u, v = e
-        if u == v:
-            continue
-        key = e if u < v else (v, u)
-        o = ids.setdefault(key, eid)
-        if o != eid:
-            if type(o) is int:
-                ids[key] = [o, eid]
-            else:
-                o.append(eid)
-    keys = sorted(ids)
-    view = UGraphView._trusted(g.n, tuple(keys))
-    view.origins = tuple(
-        (o,) if type(o) is int else tuple(o) for o in map(ids.__getitem__, keys)
-    )
-    return view
+def underlying(g: DiGraph) -> UGraph:
+    """Simple undirected graph of ``g``: one edge (v, w), v < w, per pair
+    joined by a non-loop edge, in ascending order.  These are the entries
+    of ``_underlying_csr(g)`` with v < w."""
+    start, dst, _ = _underlying_csr(g)
+    pairs = [(v, w) for v in range(g.n) for w in dst[start[v] : start[v + 1]] if v < w]
+    return UGraph._trusted(g.n, tuple(sorted(pairs)))
 
 
 class Partition:

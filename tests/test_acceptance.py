@@ -25,7 +25,6 @@ from twinscc.auxiliary import aux_strong_bridges, build_final_family, classify_x
 from twinscc.pipeline import two_escc, two_etscc, two_etscc_baseline
 from twinscc.orientation import edge_resilient_blocks, strongly_orientable_blocks
 from twinscc.spqr import marked_veb
-from twinscc.cli import baseline_speedup
 from twinscc import oracles
 
 from test_pipeline import checked_two_etscc
@@ -289,6 +288,24 @@ def _fitted_scaling(fn, graphs):
     ks = sorted(times)
     fit = statistics.linear_regression(ks, [math.log2(times[k] / ref_times[k]) for k in ks])
     return times, ref_times, fit.slope
+
+
+def baseline_speedup(g: DiGraph, factor: float = 1.0) -> tuple[float, bool]:
+    """Measured baseline/fast time ratio, with the baseline run aborted once
+    it exceeds ``factor`` * 10x the fast time (the ratio is then a lower
+    bound and the second element is False)."""
+    t0 = time.perf_counter()
+    fast = two_etscc(g)
+    t_fast = max(time.perf_counter() - t0, 1e-9)
+    budget = max(10.0 * t_fast * factor, 1.0)
+    start = time.perf_counter()
+    try:
+        part = two_etscc_baseline(g, deadline=start + budget)
+    except TimeoutError:
+        return (time.perf_counter() - start) / t_fast, False
+    if part != fast:
+        raise AssertionError("baseline disagrees with the fast path")
+    return (time.perf_counter() - start) / t_fast, True
 
 
 def _ratios(times: dict[int, float]) -> str:

@@ -10,6 +10,7 @@ import pytest
 
 from twinscc.graph import DiGraph, PreconditionError
 from twinscc.auxiliary import (
+    AuxGraph,
     KIND_H1,
     KIND_HRR,
     KIND_HSS,
@@ -26,10 +27,12 @@ from twinscc.auxiliary import (
 from twinscc import oracles, pipeline
 from twinscc.dominators import flow_bridges, strong_bridges
 from twinscc.orientation import split_and_gadget, split_and_twin
-from twinscc.strong import tscc
+from twinscc.strong import scc, tscc
 from twinscc.oracles import _reach, _scc_sets
 
+from first_level_reference import build_first_level_walk
 from named_graphs import bik3, cyc3, diamond_with_return, two_triangles
+from test_dominators import _chain
 
 
 def _by_root(graphs):
@@ -86,6 +89,37 @@ def test_first_level_members_strongly_connected(rng):
         for h in build_first_level(g, 0):
             d, _, _ = h.digraph()
             assert oracles._is_strongly_connected(d.n, d.edges), (g.edges, h)
+
+
+def test_first_level_matches_the_root_path_walk(rng):
+    # the one pass over the tree of roots gives what walking each edge up
+    # the root path gives, member for member
+    checked = 0
+    for _ in range(300):
+        n = rng.randrange(1, 40)
+        g = oracles.gen_digraph(n, rng.randrange(0, 4 * n + 1), rng, rng.choice(["er", "bridgey"]))
+        comps = scc(g).components
+        for sub, _, _ in g.induced_blocks(comps):
+            for s in range(min(3, sub.n)):
+                assert build_first_level(sub, s) == build_first_level_walk(sub, s), (g.edges, s)
+                checked += 1
+    assert checked > 1000
+    chains = [_chain(300), _chain(300, rng), _triangles_behind_one_exit(40)]
+    chains += [g.reverse() for g in chains]
+    for g in chains:
+        g = DiGraph(g.n, g.edges)
+        for s in (0, g.n // 2, g.n - 1):
+            assert build_first_level(g, s) == build_first_level_walk(g, s)
+
+
+def test_first_level_rejects_an_edge_into_a_dominated_subtree():
+    # decomposition of the cycle 0 -> 1 -> 2 -> 0, whose bridges make 1 and
+    # 2 roots, handed a graph that also has (0, 2): that edge enters D(2)
+    # from outside without being its bridge
+    bd = flow_bridges(cyc3(), 0)
+    g = DiGraph(3, [*cyc3().edges, (0, 2)])
+    with pytest.raises(AssertionError, match="dominated subtree"):
+        build_first_level(g, 0, _bd=bd)
 
 
 def test_first_level_path_correspondence(rng):
@@ -225,6 +259,24 @@ def test_s_operation_reads_each_edge_a_constant_number_of_times(monkeypatch):
         assert seen[0][1] <= 3, (k, seen)
     g = _triangles_behind_one_exit(30)
     assert two_escc(g) == two_escc_baseline(g)
+
+
+def test_final_family_single_vertex():
+    # one vertex, with or without its self-loop: the one H_ss member
+    member = AuxGraph(
+        kind=KIND_HSS,
+        r=0,
+        r2=0,
+        vertices=(0,),
+        edges=(),
+        ordinary1=frozenset({0}),
+        ordinary2=frozenset({0}),
+        attached=frozenset(),
+        oo=frozenset({0}),
+        critical_edge=None,
+    )
+    assert build_final_family(DiGraph(1, []), 0) == [member]
+    assert build_final_family(DiGraph(1, [(0, 0)]), 0) == [member]
 
 
 def test_final_family_bik3():

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import argparse
+import pathlib
+import re
 import time
 
 import pytest
 
 from twinscc import dominators
-from twinscc.cli import main
+from twinscc.cli import _parser, main
 
 
 def _run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -86,11 +89,12 @@ def test_parse_error_exit_3(capsys, tmp_path):
         (["scc", "--in", "{cyc3}", "--out", "{tmp}/no/such/dir/x"], 2),
         (["scc", "--in", "{undecodable}"], 3),
         (["mveb", "--in", "{cyc3}", "--marked", "x"], 2),
-        (["bench", "--sizes", "abc"], 2),
-        (["bench", "--sizes", "0..8"], 2),  # doubling from 0 never ends
-        (["bench", "--sizes", ","], 2),
-        (["bench", "--sizes", "0^-1"], 2),  # not a ZeroDivisionError
-        (["bench", "--sizes", "2^6", "--baseline-at", "2^-1"], 2),
+        # gen sizes it cannot honour, rather than an empty graph
+        (["gen", "--n", "0", "--m", "5"], 2),
+        (["gen", "--n", "-2", "--m", "3"], 2),
+        (["gen", "--n", "3", "--m", "-1"], 2),
+        (["gen", "--n", "1", "--m", "3"], 2),  # only self-loops would fit
+        (["gen", "--n", "1", "--m", "2", "--model", "mixed"], 2),
     ],
 )
 def test_io_and_option_failures_exit_with_one_line(capsys, tmp_path, cyc3_file, argv, code):
@@ -256,14 +260,20 @@ def test_gen_roundtrip(capsys):
     assert out == out2  # byte stability
     code, out3, _ = _run(capsys, "gen", "--n", "6", "--m", "10", "--model", "mixed", "--seed", "7")
     assert "U " in out3
+    code, out4, _ = _run(capsys, "gen", "--n", "0", "--m", "0")
+    assert code == 0 and out4 == "0 0\n"
 
 
-def test_bench_smoke(capsys):
-    code, out, _ = _run(capsys, "bench", "--sizes", "2^6..2^7", "--seed", "1")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0].startswith("m\t")
-    assert len(lines) == 3
+def test_readme_lists_every_subcommand():
+    # the README's command list names exactly the parser's subcommands
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = {
+        name
+        for names in re.findall(r"^twinscc ([\w-]+(?: / [\w-]+)*)", readme, re.M)
+        for name in names.split(" / ")
+    }
+    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert listed == set(sub.choices)
 
 
 def test_output_file(tmp_path, capsys, cyc3_file):

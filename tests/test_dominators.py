@@ -309,7 +309,8 @@ def test_adversarial_shapes_exercise_the_candidate_test():
 
 
 def test_deep_chain_of_strong_bridges_passes():
-    # the chain at k = 4,000 makes two_escc quadratic; the passes are linear
+    # the chain at k = 4,000: k + 1 roots in a tree of roots k deep, found
+    # by two linear passes (two_escc on it: tests/test_pipeline.py)
     k = 4000
     g = _chain(k)
     fwd = flow_bridges(g, 0)

@@ -110,6 +110,14 @@ def test_every_private_switch_is_set_inside_the_library():
     assert switches - passed == set()
 
 
+def test_every_public_name_resolves():
+    # a name left in __all__ after its object is gone breaks
+    # ``from twinscc import *``
+    names = twinscc.__all__
+    assert len(set(names)) == len(names)
+    assert [n for n in names if not hasattr(twinscc, n)] == []
+
+
 def _ladder(k: int) -> list[tuple[int, int]]:
     # top vertex 2i, bottom vertex 2i+1: rungs, then the two rails
     edges = [(2 * i, 2 * i + 1) for i in range(k)]

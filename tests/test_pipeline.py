@@ -21,6 +21,8 @@ from twinscc.pipeline import (
 from twinscc import auxiliary, dominators, graph, oracles, pipeline, undirected
 
 from named_graphs import bik2, bik3, cyc3, two_triangles
+from test_auxiliary import _triangles_behind_one_exit
+from test_dominators import _chain
 from test_graph_core import with_twins_and_parallels
 from test_strong import et_gap_fixture
 
@@ -464,10 +466,33 @@ def _star_of_triangles(k: int) -> DiGraph:
     return DiGraph(2 * k + 1, edges)
 
 
+def _in_core(shape: DiGraph, seed: int) -> DiGraph:
+    """``shape`` glued by its vertex 0 onto vertex 0 of a random core-family
+    graph (m = 512), its other vertices after the core's, plus 8 edges
+    from it into the core: still one SCC, and the shape's strong bridges
+    stay."""
+    rng = random.Random(seed)
+    core = oracles.gen_strongly_connected_fast(128, 512, rng)
+    at = [0] + list(range(core.n, core.n + shape.n - 1))
+    edges = list(core.edges) + [(at[u], at[v]) for u, v in shape.edges]
+    edges += [(rng.choice(at), rng.randrange(core.n)) for _ in range(8)]
+    return DiGraph(core.n + shape.n - 1, edges)
+
+
 @pytest.mark.parametrize(
     "g",
-    [_ring_of_cycles(100), _star_of_triangles(120)],
-    ids=["ring_of_100_cycles", "star_of_120_triangles"],
+    [
+        _ring_of_cycles(100),
+        _star_of_triangles(120),
+        _in_core(_chain(200), 1),
+        _in_core(_triangles_behind_one_exit(40), 2),
+    ],
+    ids=[
+        "ring_of_100_cycles",
+        "star_of_120_triangles",
+        "deep_chain_in_core",
+        "triangle_chain_in_core",
+    ],
 )
 def test_adversarial_shapes_vs_baselines(g):
     # one SCC whose strong bridges cut it into many singletons and one big
@@ -481,3 +506,29 @@ def test_adversarial_shapes_vs_baselines(g):
     for p in (got_et, got_e):
         assert len(p) > 1 and max(map(len, p)) >= 2
     assert seconds < 10, f"the linear path took {seconds:.1f} s at m = {g.m}"
+
+
+def _scc_passes(fn, g: DiGraph) -> float:
+    """Best of 3 CPU times of ``fn`` over that of ``scc``, each call on a
+    fresh copy of ``g``, so both pay for its adjacency arrays."""
+    def best(f):
+        times = []
+        for _ in range(3):
+            h = DiGraph._trusted(g.n, g.edges)
+            t = time.process_time()
+            f(h)
+            times.append(time.process_time() - t)
+        return min(times)
+
+    return best(fn) / max(best(scc), 1e-6)
+
+
+def test_deep_chain_costs_a_constant_number_of_scc_passes():
+    # on the chain every (i, i+1) is a strong bridge and the tree of roots
+    # is a path k deep; walking each edge up that path cost about 800 scc
+    # passes at k = 8,000 and doubled with k, one pass over it costs 10-15
+    g = _chain(16000)
+    for fn in (two_escc, two_etscc):
+        passes = _scc_passes(fn, g)
+        assert passes <= 40, f"{fn.__name__} took {passes:.0f} scc passes at k = 16,000"
+
