@@ -158,7 +158,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--in", dest="infile", default="-", help="input file or - for stdin")
         p.add_argument("--out", dest="out", default="-", help="output file or - for stdout")
         p.add_argument("--json", action="store_true", help="canonical JSON output")
-        p.add_argument("--seed", type=int, default=0)
         if oracle:
             p.add_argument(
                 "--check-oracle",
@@ -179,9 +178,7 @@ def _parser() -> argparse.ArgumentParser:
     p_dom.add_argument("--source", type=int, default=0)
     for name in ("cactus", "spqr"):
         common(sub.add_parser(name), oracle=(name == "cactus"))
-    p_aux = sub.add_parser("aux")
-    common(p_aux, oracle=False)
-    p_aux.add_argument("--dump", action="store_true", help="dump every family member (default)")
+    common(sub.add_parser("aux"), oracle=False)
     p_mveb = sub.add_parser("mveb")
     common(p_mveb)
     p_mveb.add_argument("--marked", default="", help="comma-separated marked vertex ids")

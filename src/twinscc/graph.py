@@ -347,7 +347,7 @@ class MixedGraph:
 class UGraph:
     """Undirected multigraph; edge ids are 0-based in input order."""
 
-    __slots__ = ("n", "edges", "_adj", "_csr")
+    __slots__ = ("n", "edges", "_csr")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         n = int(n)
@@ -355,7 +355,6 @@ class UGraph:
             raise GraphError("vertex count must be nonnegative")
         self.n = n
         self.edges = _checked_edges(edges, n, "endpoint", "endpoint")
-        self._adj: Optional[list[list[tuple[int, int]]]] = None
         self._csr = None
 
     @classmethod
@@ -363,25 +362,12 @@ class UGraph:
         g = cls.__new__(cls)
         g.n = n
         g.edges = edges
-        g._adj = None
         g._csr = None
         return g
 
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def adj(self) -> list[list[tuple[int, int]]]:
-        """Per vertex, list of (neighbour, edge id); self-loops are skipped."""
-        if self._adj is None:
-            adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-            for eid, (a, b) in enumerate(self.edges):
-                if a == b:
-                    continue
-                adj[a].append((b, eid))
-                adj[b].append((a, eid))
-            self._adj = adj
-        return self._adj
 
     def csr(self):
         """(start, dst, eid) arrays; every non-loop edge appears twice."""

@@ -238,7 +238,7 @@ def test_mveb_cli(capsys, tmp_path):
 
 
 def test_aux_dump(capsys, cyc3_file):
-    code, out, _ = _run(capsys, "aux", "--in", cyc3_file, "--dump")
+    code, out, _ = _run(capsys, "aux", "--in", cyc3_file)
     assert code == 0
     assert "member" in out and "H_ss" in out
     assert ":oo" in out  # per-vertex roles

@@ -57,8 +57,8 @@ def test_no_nested_find_outside_oracles():
 
 def test_no_fast_path_module_imports_random():
     # every result is deterministic: randomness is left to the oracles'
-    # generators, `twinscc gen` and the off-path cutfilter
-    exempt = {"oracles", "cli", "cutfilter"}
+    # generators and `twinscc gen`
+    exempt = {"oracles", "cli"}
     for name, tree in _module_trees():
         if name in exempt:
             continue
