@@ -19,11 +19,14 @@ only a known set X_e of non-oo vertices as singleton SCCs.  Hence an edge
 (x, y) of a member is a strong bridge iff it is x's only out-edge or y's
 only in-edge: the lone source SCC left holds y, the lone sink SCC x, and
 one of them is a singleton.  First-level graphs can lack this shape.
+
+A member with at most one oo vertex cannot split a block: the pipeline's
+calls (``_lone``, ``_splittable``) keep its bare oo-set instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .graph import DiGraph, GraphError, PreconditionError
@@ -81,7 +84,7 @@ class XeClass:
     members: frozenset[int]
 
 
-def build_first_level(g: DiGraph, s: int, _bd=None) -> list[AuxGraph]:
+def build_first_level(g: DiGraph, s: int, _bd=None, _lone: bool = False) -> list:
     """All first-level auxiliary graphs H(G_s, r), r in {s} + marked.
 
     One depth-first pass over the tree of roots keeps the root path on a
@@ -93,6 +96,10 @@ def build_first_level(g: DiGraph, s: int, _bd=None) -> list[AuxGraph]:
     between gets (z, d(r)) from its child root z, capped at two copies, so
     D(z) keeps only the two least such depths k; once D(z) is done, its
     copies are how many of them lie above r.  This is O(m) in all.
+
+    With ``_lone`` (the pipeline's call) a root r whose subtree is r alone
+    gets no edge counts and no member: the tuple (r,), which is the oo-set
+    of every final member derived from it, stands in for it.
     """
     bd = _bd
     if bd is None:
@@ -106,12 +113,8 @@ def build_first_level(g: DiGraph, s: int, _bd=None) -> list[AuxGraph]:
     kids: dict[int, list[int]] = {r: [] for r in subtrees}
     for r, d in idom.items():
         kids[tree_of[d]].append(r)
-    counts: dict[int, dict[tuple[int, int], int]] = {r: {} for r in subtrees}
-
-    def emit(bucket: dict[tuple[int, int], int], key: tuple[int, int]) -> None:
-        c = bucket.get(key, 0)
-        if c < 2:
-            bucket[key] = c + 1
+    # edge multiplicities per member, capped at two when the member is built
+    counts = {r: {} for r, t in subtrees.items() if not _lone or len(t) > 1}
 
     start, dst, _ = g.out_csr()
     depth = [-1] * g.n
@@ -125,8 +128,8 @@ def build_first_level(g: DiGraph, s: int, _bd=None) -> list[AuxGraph]:
             if path:
                 p, dp = path[-1], len(path) - 1
                 k1, k2 = low[z]
-                if k1 < dp:
-                    counts[p][(z, idom[p])] = 1 + (k2 < dp)
+                if k1 < dp and p in counts:
+                    counts[p][z, idom[p]] = 1 + (k2 < dp)
                 l1, l2 = low[p]
                 low[p] = (k1, min(l1, k2)) if k1 < l1 else (l1, min(l2, k1))
             continue
@@ -134,36 +137,43 @@ def build_first_level(g: DiGraph, s: int, _bd=None) -> list[AuxGraph]:
         path.append(a)
         todo.append(~a)
         todo.extend(kids[a])
-        own = counts[a]
+        own = counts.get(a)
         k1 = k2 = da  # the two least depths k from T(a); da stands for none
         for x in subtrees[a]:
             for y in dst[start[x] : start[x + 1]]:
                 b = tree_of[y]
-                if b == a:
-                    if x != y:
-                        emit(own, (x, y))
-                elif idom.get(y) == x:  # the bridge (d(y), y)
-                    counts[y][(x, y)] = 1
-                    emit(own, (x, y))
+                if b == a or idom.get(y) == x:  # in T(a), or the bridge (d(y), y)
+                    if x == y:
+                        continue
+                    e = x, y
+                    if b != a and y in counts:
+                        counts[y][e] = 1
                 else:
                     k = depth[b]
                     # an edge entering D(r) from outside must be the bridge (d(r), r)
                     if not 0 <= k < da or path[k] != b:
                         raise AssertionError("unexpected edge into a dominated subtree")
-                    emit(own, (x, idom[a]))
-                    emit(counts[b], (path[k + 1], y))
+                    e = x, idom[a]
+                    if b in counts:
+                        into, f = counts[b], (path[k + 1], y)
+                        into[f] = into.get(f, 0) + 1
                     if k < k2:
                         k1, k2 = min(k, k1), max(k, k1)
+                if own is not None:
+                    own[e] = own.get(e, 0) + 1
         low[a] = k1, k2
-    out = []
+    out: list = []
     for r in sorted(subtrees):
+        if r not in counts:
+            out.append(subtrees[r])
+            continue
         ordinary = frozenset(subtrees[r])
         verts = ordinary.union(kids[r])
         crit = None
         if r != s:
             crit = (idom[r], r)
             verts |= {idom[r]}
-        edges = sorted(e for e, c in counts[r].items() for _ in range(c))
+        edges = sorted([*counts[r], *(e for e, c in counts[r].items() if c > 1)])
         out.append(
             AuxGraph(
                 kind=KIND_H1,
@@ -219,67 +229,56 @@ def s_operation(g: DiGraph, eid: int, cap: Optional[int] = None) -> list[tuple[t
     return members
 
 
-def second_level(h1: AuxGraph, _splittable: bool = False) -> list[AuxGraph]:
+def second_level(h1: AuxGraph, _splittable: bool = False) -> list:
     """Final-family members derived from one first-level graph.
 
     Their oo-sets partition ``h1.ordinary1``.  With ``_splittable`` (the
-    pipeline's call), an S-operation whose H_rr' has at most one vertex in
-    ``h1.ordinary1 & ordinary2`` is not run.  Its members' oo-sets
-    partition that set (an attached vertex is never in the SCC it attaches
-    to), so none of them can split, and one stand-in carrying the set as
-    its oo-set replaces them.
+    pipeline's call), the oo-set of a member with at most one oo vertex
+    stands in for it, and the reverse first level is built with
+    ``_lone``.  An S-operation on an H_rr' with at most one vertex in
+    ``h1.ordinary1 & ordinary2`` is not run: its members' oo-sets
+    partition that set (an attached vertex is never in the SCC it
+    attaches to), which stands in for all of them.
     """
     sub, local, back = h1.digraph()
     rev = sub.reverse()
     r_loc = local[h1.r]
     # members are strongly connected by construction; flow_bridges still
     # fails loudly if reachability is broken
-    lvl2 = build_first_level(rev, r_loc, _bd=flow_bridges(rev, r_loc))
-    out: list[AuxGraph] = []
+    lvl2 = build_first_level(rev, r_loc, _bd=flow_bridges(rev, r_loc), _lone=_splittable)
+    out: list = []
     for h2 in lvl2:
-        ordinary2 = frozenset(back[i] for i in h2.ordinary1)
-        r2 = back[h2.r]
+        mine = h2.ordinary1 if isinstance(h2, AuxGraph) else h2  # or a lone (r,)
+        ordinary2 = frozenset(back[i] for i in mine)
         both = h1.ordinary1 & ordinary2
-        if _splittable and r2 != h1.r and len(both) <= 1:
-            out.append(replace(h1, oo=both))  # a stand-in: only oo is read
+        if _splittable and len(both) <= 1:
+            out.append(both)
             continue
+        r2 = back[h2.r]
         verts = tuple(back[i] for i in h2.vertices)
         edges = [(back[u], back[v]) for u, v in h2.edges]
         if r2 == h1.r:
-            if h1.critical_edge is None:
-                out.append(
-                    AuxGraph(
-                        kind=KIND_HSS,
-                        r=h1.r,
-                        r2=r2,
-                        vertices=verts,
-                        edges=tuple(sorted(edges)),
-                        ordinary1=h1.ordinary1,
-                        ordinary2=ordinary2,
-                        attached=frozenset(),
-                        oo=both,
-                        critical_edge=None,
-                    )
-                )
-                continue
-            # H_rr: simplify away the critical vertex d(r) of H_r exactly
-            # when all its out-edges lead to one ordinary2/auxiliary1 vertex
-            # (otherwise the split-off shapes would gain an extra {d(r)})
-            dcrit = h1.critical_edge[0]
-            targets = {v for u, v in edges if u == dcrit}
-            if len(targets) == 1:
-                (tgt,) = targets
-                if tgt in ordinary2 and tgt not in h1.ordinary1:
-                    out.append(_tilde(h1, verts, edges, ordinary2))
-                    continue
+            hss = h1.critical_edge is None
+            if not hss:
+                # H_rr: simplify away the critical vertex d(r) of H_r exactly
+                # when all its out-edges lead to one ordinary2/auxiliary1
+                # vertex (otherwise the split-off shapes would gain an extra
+                # {d(r)})
+                dcrit = h1.critical_edge[0]
+                targets = {v for u, v in edges if u == dcrit}
+                if len(targets) == 1:
+                    (tgt,) = targets
+                    if tgt in ordinary2 and tgt not in h1.ordinary1:
+                        out.append(_tilde(h1, verts, edges, ordinary2, dcrit))
+                        continue
             out.append(
                 AuxGraph(
-                    kind=KIND_HRR,
+                    kind=KIND_HSS if hss else KIND_HRR,
                     r=h1.r,
                     r2=r2,
                     vertices=verts,
                     edges=tuple(sorted(edges)),
-                    ordinary1=h1.ordinary1 & set(verts),
+                    ordinary1=h1.ordinary1 if hss else h1.ordinary1 & set(verts),
                     ordinary2=ordinary2,
                     attached=frozenset(),
                     oo=both,
@@ -287,9 +286,9 @@ def second_level(h1: AuxGraph, _splittable: bool = False) -> list[AuxGraph]:
                 )
             )
         else:
-            crit_loc = h2.critical_edge
-            assert crit_loc is not None
-            crit = (back[crit_loc[0]], back[crit_loc[1]])
+            if h2.critical_edge is None:
+                raise AssertionError("a member other than H_rr without a critical edge")
+            crit = tuple(back[v] for v in h2.critical_edge)
             vmap = {v: i for i, v in enumerate(verts)}
             h2_graph = DiGraph._trusted(
                 len(verts), tuple((vmap[u], vmap[v]) for u, v in edges)
@@ -298,23 +297,27 @@ def second_level(h1: AuxGraph, _splittable: bool = False) -> list[AuxGraph]:
                 i for i, e in enumerate(h2_graph.edges)
                 if e == (vmap[crit[0]], vmap[crit[1]])
             ]
-            assert len(crit_ids) == 1, "critical edge must have multiplicity one"
+            if len(crit_ids) != 1:
+                raise AssertionError("critical edge must have multiplicity one")
             for mverts, medges, mattached in s_operation(h2_graph, crit_ids[0], cap=2):
                 overts = tuple(verts[i] for i in mverts)
-                oedges = tuple(sorted((verts[u], verts[v]) for u, v in medges))
                 attached = frozenset(verts[i] for i in mattached)
                 vset = set(overts)
+                oo = both & (vset - attached)
+                if _splittable and len(oo) <= 1:
+                    out.append(oo)
+                    continue
                 out.append(
                     AuxGraph(
                         kind=KIND_S_SR if h1.critical_edge is None else KIND_S_RR,
                         r=h1.r,
                         r2=r2,
                         vertices=overts,
-                        edges=oedges,
+                        edges=tuple(sorted((verts[u], verts[v]) for u, v in medges)),
                         ordinary1=h1.ordinary1 & vset,
                         ordinary2=ordinary2 & vset,
                         attached=attached,
-                        oo=both & (vset - attached),
+                        oo=oo,
                         critical_edge=crit,
                     )
                 )
@@ -326,18 +329,17 @@ def _tilde(
     verts: tuple[int, ...],
     edges: list[tuple[int, int]],
     ordinary2: frozenset[int],
+    dcrit: int,
 ) -> AuxGraph:
     """H_rr with the critical vertex of H_r removed.
 
-    Applied only when every out-edge of d(r) targets one ordinary2 vertex x
-    that is auxiliary in H_r: each path through d(r) then runs
+    Applied only when every out-edge of d(r) (``dcrit``) targets one
+    ordinary2 vertex x that is auxiliary in H_r: each path through d(r) runs
     (r, d(r)), (d(r), x) and is replaced by the shortcut (r, x), which
     eliminates the split-off shapes that would otherwise carry an extra
     {d(r)} component.  d(r) is auxiliary at both levels and never
     contributes to the output.
     """
-    assert h1.critical_edge is not None
-    dcrit = h1.critical_edge[0]
     r = h1.r
     counts: dict[tuple[int, int], int] = {}
     shortcuts: list[int] = []
@@ -376,9 +378,10 @@ def build_final_family(g: DiGraph, s: int) -> list[AuxGraph]:
 
     The oo-sets of the returned members partition the vertex set of ``g``.
     This is the concatenation of ``second_level`` over the first level.
-    The pipeline builds the second level only for first-level members with
-    at least two ordinary vertices: those with one ordinary vertex r yield
-    members whose oo-sets are exactly {r}, which cannot split.
+    The pipeline's pass builds only the members that can split: a
+    first-level root r whose subtree is r alone yields members whose
+    oo-sets are exactly {r}, so it keeps (r,) instead, and ``second_level``
+    keeps the oo-set of any member with at most one oo vertex.
     """
     members: list[AuxGraph] = []
     for h1 in build_first_level(g, s):

@@ -11,9 +11,10 @@ result is the mutual refinement of two partitions:
 * the partition due to strong bridges, assembled from the final auxiliary
   family: per member, contract every X_e in the underlying graph into a
   marked vertex and compute marked vertex-edge blocks.  Only members with
-  at least two oo vertices can split, and a TSCC without strong bridges
-  skips this partition altogether.  An analysed member's strong bridges
-  come from its in- and out-degrees, with no flow-graph pass.
+  at least two oo vertices can split, so only they are built; every other
+  piece of the family is kept as its bare oo-set.  A TSCC without strong
+  bridges skips this partition altogether.  An analysed member's strong
+  bridges come from its in- and out-degrees, with no flow-graph pass.
 
 Each fact is computed once per TSCC: ``tscc`` hands over the induced
 subgraph, the CSR of its simple underlying graph and, for a TSCC that is
@@ -91,16 +92,14 @@ def _cut_cycle_partition(cactus: Cactus, es) -> Partition:
 
 
 def partition_strong_bridges(h: AuxGraph) -> Partition:
-    """Partition of h's oo vertices due to the strong bridges of h.
+    """Partition of the oo vertices of the final member h due to its
+    strong bridges.
 
-    A member with at most one oo vertex cannot split, so it is returned
-    as one block (or none) before any graph is built.  The others are
-    final members: deleting an edge (x, y) leaves one SCC plus
-    singletons, so it is a strong bridge iff it is x's only out-edge or
-    y's only in-edge, parallel copies counted.
+    Deleting an edge (x, y) of h leaves one SCC plus singletons, so it is
+    a strong bridge iff it is x's only out-edge or y's only in-edge,
+    parallel copies counted.  The pipeline calls this only on members
+    with at least two oo vertices; the others cannot split.
     """
-    if len(h.oo) <= 1:
-        return Partition._trusted([tuple(h.oo)] if h.oo else [])
     d, local, back = h.digraph()
     sbs = _lone_edges(d)
     if not sbs:
@@ -165,36 +164,34 @@ def _strong_bridge_passes(g: DiGraph):
 
 def _splittable_family(g: DiGraph, bd):
     """The final auxiliary family of the strongly connected ``g`` from
-    source 0, whose forward flow-graph pass ``bd`` is, except that a
-    first-level member with one ordinary vertex r stands in for the
-    members derived from it, and one stand-in replaces the members of an
-    S-operation that cannot split (see ``second_level``).
-
-    The oo-sets of those members partition the ordinary vertices of their
-    first-level member, so they are exactly {r}: one block, whatever the
-    strong bridges, and the second level is not built for it.
+    source 0, whose forward flow-graph pass ``bd`` is: the members with at
+    least two oo vertices, and the bare oo-set of every piece that cannot
+    split (see ``build_first_level`` and ``second_level``).  Together
+    their oo-sets partition V(g).
     """
-    for h1 in build_first_level(g, 0, _bd=bd):
-        if len(h1.oo) == 1:
-            yield h1
-        else:
+    for h1 in build_first_level(g, 0, _bd=bd, _lone=True):
+        if isinstance(h1, AuxGraph):
             yield from second_level(h1, _splittable=True)
+        else:
+            yield h1
 
 
 def _strong_bridge_partition(g: DiGraph, bd) -> Partition:
     """Partition of V(g) due to strong bridges, assembled across the final
     auxiliary family (whose oo-sets partition V).
 
-    Only members with at least two oo vertices are analysed: a first-level
-    member with one ordinary vertex skips its second level, and a final
-    member with at most one oo vertex skips its strong-bridge pass
-    (``partition_strong_bridges``).  Neither can split a block.
+    Only members with at least two oo vertices are built and analysed
+    (``partition_strong_bridges``); each bare oo-set of
+    ``_splittable_family`` is one block, or none when empty.
     ``two_etscc`` does not call this for a TSCC without strong bridges:
     there the partition is the whole TSCC.
     """
     blocks = []
     for h in _splittable_family(g, bd):
-        blocks.extend(partition_strong_bridges(h).blocks)
+        if isinstance(h, AuxGraph):
+            blocks.extend(partition_strong_bridges(h).blocks)
+        elif h:
+            blocks.append(tuple(sorted(h)))
     return Partition._trusted(sorted(blocks))  # the oo-sets partition V
 
 
@@ -205,9 +202,9 @@ def two_escc(g: DiGraph) -> Partition:
     family members of the induced subgraph.  An SCC without strong bridges
     is one block, and no family is built for it: its oo-sets are the whole
     SCC.  The reverse pass runs only when the forward one finds no bridge,
-    and the family reuses the forward pass.  A first-level member with one
-    ordinary vertex r contributes {r} without building its second level,
-    whose oo-sets are exactly {r}.
+    and the family reuses the forward pass.  A piece that cannot split
+    contributes its bare oo-set and builds no member (see
+    ``_splittable_family``).
     """
     components = scc(g).components
     blocks = [comp for comp in components if len(comp) == 1]
@@ -218,10 +215,9 @@ def two_escc(g: DiGraph) -> Partition:
             blocks.append(tuple(range(sub.n)) if verts is None else tuple(verts))
             continue
         for h in _splittable_family(sub, bd):
-            if h.oo:
-                blocks.append(
-                    tuple(sorted(h.oo) if verts is None else sorted(verts[i] for i in h.oo))
-                )
+            oo = h.oo if isinstance(h, AuxGraph) else h
+            if oo:
+                blocks.append(tuple(sorted(oo if verts is None else (verts[i] for i in oo))))
     return Partition._trusted(sorted(blocks))
 
 

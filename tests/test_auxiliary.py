@@ -11,7 +11,6 @@ import pytest
 from twinscc.graph import DiGraph, PreconditionError
 from twinscc.auxiliary import (
     AuxGraph,
-    KIND_H1,
     KIND_HRR,
     KIND_HSS,
     KIND_S_RR,
@@ -382,10 +381,9 @@ def test_final_members_strong_bridges_by_degree_count():
                 assert agrees(h), (h.kind, h.edges)
                 kinds.add(h.kind)
             for h in pipeline._splittable_family(sub, flow_bridges(sub, 0)):
-                if len(h.oo) >= 2:  # analysed by partition_strong_bridges
-                    assert agrees(h), (h.kind, h.edges)
+                if isinstance(h, AuxGraph):  # analysed by partition_strong_bridges
+                    assert len(h.oo) >= 2 and agrees(h), (h.kind, h.edges)
                     analysed += 1
-                elif h.kind == KIND_H1 and not agrees(h):
-                    first_level_misses += 1
+            first_level_misses += sum(not agrees(h) for h in build_first_level(sub, 0))
     assert kinds == {KIND_HSS, KIND_HRR, KIND_TILDE, KIND_S_SR, KIND_S_RR}
     assert analysed >= 10 and first_level_misses > 0

@@ -71,6 +71,16 @@ def test_no_fast_path_module_imports_random():
         assert "random" not in imported, name
 
 
+def test_no_bare_assert_outside_oracles():
+    # ``python -O`` strips assert statements, so a broken invariant would
+    # pass silently; the fast path raises AssertionError instead, which
+    # the CLI reports as an internal error
+    for name, tree in _module_trees():
+        if name != "oracles":
+            bare = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+            assert bare == [], (name, bare)
+
+
 def test_every_private_switch_is_set_inside_the_library():
     # a defaulted ``_``-prefixed parameter is an internal switch: some call
     # in the library passes it by keyword to a function of that name (a

@@ -19,6 +19,7 @@ from twinscc.pipeline import (
     two_etscc_baseline,
 )
 from twinscc import auxiliary, dominators, graph, oracles, pipeline, undirected
+from twinscc.orientation import split_and_gadget
 
 from named_graphs import bik2, bik3, cyc3, two_triangles
 from test_auxiliary import _triangles_behind_one_exit
@@ -39,8 +40,9 @@ def checked_two_etscc(g: DiGraph) -> Partition:
             if not bd.flow_bridges and not next(passes):
                 continue
             for h in pipeline._splittable_family(sub, bd):
-                if len(h.oo) < 2:
-                    continue
+                if not isinstance(h, auxiliary.AuxGraph):
+                    continue  # a bare oo-set: it cannot split
+                assert len(h.oo) >= 2, (g.edges, h.kind)
                 d, _, _ = h.digraph()
                 sbs = pipeline._lone_edges(d)
                 assert tuple(sbs) == strong_bridges(d), (g.edges, h.kind)
@@ -278,6 +280,62 @@ def test_only_members_that_can_split_are_analysed(monkeypatch):
     assert seen["classify_xe"] > 0 and seen["second_level"] > 0
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        split_and_gadget(oracles.gen_mixed(125, 250, 250, random.Random(1))).graph,
+        oracles.gen_digraph(256, 1024, random.Random(1), "bridgey"),
+    ],
+    ids=["gadget", "bridgey"],
+)
+@pytest.mark.parametrize("fn", [two_etscc, two_escc])
+def test_only_members_that_can_split_are_built(fn, g, monkeypatch):
+    # a piece with at most one oo vertex cannot split a block, so the
+    # pipeline keeps its bare oo-set and builds no member for it: the
+    # members built are the first-level ones with two or more ordinary
+    # vertices, whose second level is read, and the final ones with two
+    # or more oo vertices, which are analysed.  Building every member
+    # built 1,502 and 100 here, for 3 and 21
+    seen = {"built": 0, "first_level": 0, "final": 0, "analysed": 0}
+
+    def built(h, *args, **kw):
+        seen["built"] += 1
+        init(h, *args, **kw)
+
+    def first_level(*args, **kw):
+        out = build_first_level(*args, **kw)
+        seen["first_level"] += sum(
+            len(h.ordinary1) >= 2 for h in out if isinstance(h, auxiliary.AuxGraph)
+        )
+        return out
+
+    def family(sub, bd):
+        for h in splittable_family(sub, bd):
+            if isinstance(h, auxiliary.AuxGraph):
+                assert len(h.oo) >= 2, (h.kind, h.oo)
+                seen["final"] += 1
+            yield h
+
+    def analysed(h):
+        seen["analysed"] += 1
+        assert len(h.oo) >= 2, (h.kind, h.oo)
+        return partition_strong_bridges(h)
+
+    init = auxiliary.AuxGraph.__init__
+    build_first_level = auxiliary.build_first_level
+    splittable_family = pipeline._splittable_family
+    partition_strong_bridges = pipeline.partition_strong_bridges
+    monkeypatch.setattr(auxiliary.AuxGraph, "__init__", built)
+    for mod in (auxiliary, pipeline):
+        monkeypatch.setattr(mod, "build_first_level", first_level)
+    monkeypatch.setattr(pipeline, "_splittable_family", family)
+    monkeypatch.setattr(pipeline, "partition_strong_bridges", analysed)
+    fn(g)
+    assert seen["final"] > 0
+    assert seen["analysed"] == (seen["final"] if fn is two_etscc else 0)
+    assert seen["built"] == seen["first_level"] + seen["final"]
+
+
 def test_member_strong_bridges_are_counted_not_passed(calls):
     # an analysed member's strong bridges come from its in- and
     # out-degrees: the only flow-graph passes left are the two per TSCC
@@ -506,6 +564,64 @@ def test_adversarial_shapes_vs_baselines(g):
     for p in (got_et, got_e):
         assert len(p) > 1 and max(map(len, p)) >= 2
     assert seconds < 10, f"the linear path took {seconds:.1f} s at m = {g.m}"
+
+
+def _tscc_chain(k: int) -> DiGraph:
+    """k small TSCCs in one SCC, each with strong bridges inside: a
+    5-vertex one whose 2eTSCCs are {0, 1} and singletons, then a directed
+    triangle, and so on.  Each one's vertex 0 and the next one's vertex 1
+    form a twin pair, whose underlying edge is a bridge."""
+    shapes = (
+        [(0, 1), (1, 2), (2, 0), (1, 3), (3, 0), (2, 4), (4, 1), (0, 4)],
+        [(0, 1), (1, 2), (2, 0)],
+    )
+    edges, n = [], 0
+    for i in range(k):
+        if i:
+            edges += [(prev, n + 1), (n + 1, prev)]
+        edges += [(n + u, n + v) for u, v in shapes[i % 2]]
+        prev, n = n, n + 5 - 2 * (i % 2)
+    return DiGraph(n, edges)
+
+
+def _twin_rung_ladder(k: int) -> DiGraph:
+    """k rungs, each the twin pair (2i, 2i+1); the top rail runs right
+    along the even vertices and the bottom rail back left along the odd
+    ones.  It is one TSCC, and every rail edge is a strong bridge."""
+    edges = [e for i in range(k) for e in ((2 * i, 2 * i + 1), (2 * i + 1, 2 * i))]
+    edges += [(2 * i, 2 * i + 2) for i in range(k - 1)]
+    edges += [(2 * i + 3, 2 * i + 1) for i in range(k - 1)]
+    return DiGraph(2 * k, edges)
+
+
+@pytest.mark.parametrize(
+    "g, tsccs",
+    [(_tscc_chain(80), 80), (_twin_rung_ladder(150), 1)],
+    ids=["chain_of_80_tsccs", "ladder_of_150_twin_rungs"],
+)
+def test_tscc_chain_and_twin_rung_ladder_vs_baselines(g, tsccs):
+    # about 600 edges, where the quadratic baselines take about 1.5 s and
+    # 0.8 s on a 2-core machine
+    assert len(scc(g).components) == 1 and len(tscc(g)) == tsccs
+    assert strong_bridges(g)
+    got = two_etscc(g)
+    assert got == two_etscc_baseline(g, deadline=time.perf_counter() + 60)
+    assert two_escc(g) == two_escc_baseline(g)
+    assert 1 < len(got) < g.n
+
+
+@pytest.mark.parametrize(
+    "g, bound",
+    [(_tscc_chain(1400), 100), (_twin_rung_ladder(2500), 200)],
+    ids=["chain_of_1400_tsccs", "ladder_of_2500_twin_rungs"],
+)
+def test_tscc_chain_and_twin_rung_ladder_cost_a_constant_number_of_scc_passes(g, bound):
+    # about 10^4 edges.  two_escc and two_etscc cost about 12 and 30-45
+    # scc passes on the chain and 23-29 and 73 on the ladder, at 10^3 and
+    # 10^4 edges alike
+    for fn in (two_escc, two_etscc):
+        passes = _scc_passes(fn, g)
+        assert passes <= bound, f"{fn.__name__} took {passes:.0f} scc passes at m = {g.m}"
 
 
 def _scc_passes(fn, g: DiGraph) -> float:
