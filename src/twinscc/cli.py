@@ -9,6 +9,9 @@ message, each failure is one stderr line, not a traceback.
 Output is byte-stable for a fixed input and seed: plain text prints one
 block per line (space-separated vertex ids), --json prints the canonical
 JSON forms.
+
+Each analysis is one row of ``_ANALYSES``; the parser and the one dispatch
+path are both built from it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import functools
 import json
 import random
 import sys
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .graph import (
     DiGraph,
@@ -53,18 +56,13 @@ class _UsageError(Exception):
     pass
 
 
-def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _load_graph(path: str):
-    text = _read_input(path)
-    if text.lstrip().startswith("{"):
-        return graph_from_json(text)
-    return parse_graph(text)
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    return graph_from_json(text) if text.lstrip().startswith("{") else parse_graph(text)
 
 
 def _as_digraph(g) -> DiGraph:
@@ -90,26 +88,12 @@ def _as_ugraph(g) -> UGraph:
 
 
 def _emit(args, text: str) -> None:
-    out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
-    try:
-        out.write(text)
-        if not text.endswith("\n"):
-            out.write("\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
-
-
-def _partition_text(p: Partition, as_json: bool) -> str:
-    if as_json:
-        return p.to_json()
-    return "\n".join(" ".join(str(v) for v in block) for block in p) or ""
-
-
-def _edges_text(g: DiGraph, eids: Sequence[int], as_json: bool) -> str:
-    if as_json:
-        return json.dumps(list(eids), separators=(",", ":"))
-    return "\n".join(f"{e} {g.edges[e][0]} {g.edges[e][1]}" for e in eids)
+    text += "" if text.endswith("\n") else "\n"
+    if args.out == "-":
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", encoding="utf-8") as out:
+            out.write(text)
 
 
 def _guard_oracle(g) -> None:
@@ -120,28 +104,134 @@ def _guard_oracle(g) -> None:
         )
 
 
-def _check(name: str, fast, slow) -> None:
-    if fast != slow:
-        raise _OracleMismatch(f"{name}: fast path disagrees with the oracle")
-
-
-def _option(name: str, convert: Callable, text: str):
-    """``convert(text)``, with a ``ValueError`` reported as a usage error."""
+def _marked(args) -> list[int]:
+    """The ``--marked`` ids; a bad one is a usage error."""
     try:
-        return convert(text)
+        return [int(x) for x in args.marked.split(",") if x.strip()]
     except ValueError:
-        raise _UsageError(f"invalid {name} value {text!r}") from None
+        raise _UsageError(f"invalid --marked value {args.marked!r}") from None
 
 
-def _cmd_partition(args, compute: Callable, oracle: Optional[Callable]) -> None:
-    g = _as_digraph(_load_graph(args.infile))
-    part = compute(g)
-    if args.check_oracle:
-        if oracle is None:
-            raise PreconditionError("no oracle available for this analysis")
-        _guard_oracle(g)
-        _check(args.command, part, oracle(g))
-    _emit(args, _partition_text(part, args.json))
+# renderers: (view, result, args) -> output text
+
+
+def _partition_text(g, p: Partition, args) -> str:
+    if args.json:
+        return p.to_json()
+    return "\n".join(" ".join(str(v) for v in block) for block in p)
+
+
+def _edges_text(g: DiGraph, eids: Sequence[int], args) -> str:
+    if args.json:
+        return json.dumps(list(eids), separators=(",", ":"))
+    return "\n".join(f"{e} {g.edges[e][0]} {g.edges[e][1]}" for e in eids)
+
+
+def _idoms(g: DiGraph, bd, s: int) -> dict[int, int]:
+    return {v: bd.dom.idom[v] for v in range(g.n) if v != s}
+
+
+def _dominators_text(g: DiGraph, bd, args) -> str:
+    lines = [f"idom {v} {d}" for v, d in _idoms(g, bd, args.source).items()]
+    lines += [f"bridge {e} {g.edges[e][0]} {g.edges[e][1]}" for e in bd.flow_bridges]
+    return "\n".join(lines)
+
+
+def _cactus_text(u: UGraph, cac, args) -> str:
+    if args.json:
+        return json.dumps({"phi": list(cac.phi), "edges": [list(e) for e in cac.edges],
+                           "cycles": [list(c) for c in cac.cycles]}, separators=(",", ":"))
+    lines = [f"node {i}: " + " ".join(map(str, blk)) for i, blk in enumerate(cac.classes)]
+    for c, cyc in enumerate(cac.cycles):
+        arcs = (cac.edges[i] for i in cyc)
+        lines.append(f"cycle {c}: " + " ".join(f"({a},{b})#{o}" for a, b, _, o in arcs))
+    return "\n".join(lines)
+
+
+def _spqr_text(u: UGraph, tree, args) -> str:
+    sizes = [(nd.kind, len(nd.vertices()), len(nd.edges)) for nd in tree.nodes]
+    if args.json:
+        return json.dumps([{"kind": k, "vertices": nv, "edges": ne} for k, nv, ne in sizes],
+                          separators=(",", ":"))
+    return "\n".join(f"{k} vertices={nv} edges={ne}" for k, nv, ne in sizes)
+
+
+def _aux_family(g: DiGraph, args):
+    """Each SCC's final family, member by member, with the SCC's ids."""
+    comps = scc(g).components
+    return ((verts, h) for sub_g, verts, _ in g.induced_blocks(comps)
+            for h in build_final_family(sub_g, 0))
+
+
+def _aux_text(g: DiGraph, family, args) -> str:
+    def role(h, v: int) -> str:
+        if v in h.attached:
+            return "att"
+        return ("o" if v in h.ordinary1 else "a") + ("o" if v in h.ordinary2 else "a")
+
+    return "\n".join(
+        f"member {h.kind} r={verts[h.r]} r2={verts[h.r2]} vertices="
+        + ",".join(f"{verts[v]}:{role(h, v)}" for v in h.vertices)
+        + " edges=" + ";".join(f"{verts[u]}>{verts[v]}" for u, v in h.edges)
+        for verts, h in family)
+
+
+class _Analysis(NamedTuple):
+    """One subcommand.  Each callable looks its analysis and oracle up by
+    name when called, so a name replaced in this module or in ``oracles``
+    is the one that runs."""
+
+    view: Callable  # the loaded graph -> the graph the analysis reads
+    run: Callable  # (g, args) -> result
+    agrees: Optional[Callable]  # (g, result, args) -> matches the oracle; None: no oracle
+    render: Callable = _partition_text  # (g, result, args) -> output text
+    options: tuple = ()  # (flag, add_argument keywords) pairs
+
+
+_BASELINE = (
+    ("--baseline", {"action": "store_true", "help": "run the quadratic baseline instead"}),)
+
+# subcommand -> analysis, in the parser's order
+_ANALYSES = {
+    "scc": _Analysis(
+        _as_digraph, lambda g, a: scc(g).partition, lambda g, p, a: p == oracles.oracle_scc(g)),
+    "tscc": _Analysis(
+        _as_digraph, lambda g, a: tscc(g),
+        lambda g, p, a: p == oracles.oracle_tscc_definitional(g)),
+    "strong-bridges": _Analysis(
+        _as_digraph, lambda g, a: strong_bridges(g),
+        lambda g, es, a: tuple(es) == oracles.oracle_strong_bridges(g), _edges_text),
+    "twinless-strong-bridges": _Analysis(
+        _as_digraph, lambda g, a: twinless_strong_bridges(g),
+        lambda g, es, a: tuple(es) == oracles.oracle_twinless_strong_bridges(g), _edges_text),
+    "2escc": _Analysis(
+        _as_digraph, lambda g, a: (two_escc_baseline if a.baseline else two_escc)(g),
+        lambda g, p, a: p == oracles.oracle_2escc(g), options=_BASELINE),
+    "2etscc": _Analysis(
+        _as_digraph, lambda g, a: (two_etscc_baseline if a.baseline else two_etscc)(g),
+        lambda g, p, a: p == oracles.oracle_2etscc(g), options=_BASELINE),
+    "dominators": _Analysis(
+        _as_digraph, lambda g, a: flow_bridges(g, a.source),
+        lambda g, bd, a: (_idoms(g, bd, a.source), tuple(bd.flow_bridges)) == (
+            oracles.oracle_dominators(g, a.source), oracles.oracle_flow_bridges(g, a.source)),
+        _dominators_text, (("--source", {"type": int, "default": 0}),)),
+    "cactus": _Analysis(
+        _as_ugraph, lambda u, a: three_ecc_cactus(u),
+        lambda u, cac, a: cac.classes == oracles.oracle_3ecc(u), _cactus_text),
+    "spqr": _Analysis(_as_ugraph, lambda u, a: spqr(u), None, _spqr_text),
+    "aux": _Analysis(_as_digraph, _aux_family, None, _aux_text),
+    "mveb": _Analysis(
+        _as_ugraph, lambda u, a: marked_veb(u, _marked(a)),
+        lambda u, p, a: p == oracles.oracle_mveb(u, _marked(a)),
+        options=(("--marked", {"default": "", "help": "comma-separated marked vertex ids"}),)),
+    "orient-blocks": _Analysis(
+        _as_mixed, lambda g, a: strongly_orientable_blocks(g),
+        lambda g, p, a: p == oracles.oracle_orientable_blocks(g)),
+    "resilient-blocks": _Analysis(
+        _as_mixed, lambda g, a: edge_resilient_blocks(g, fail=a.fail),
+        lambda g, p, a: p == oracles.oracle_edge_resilient(g, fail=a.fail),
+        options=(("--fail", {"choices": ("directed", "undirected", "both"), "default": "both"}),)),
+}
 
 
 @functools.cache
@@ -153,40 +243,16 @@ def _parser() -> argparse.ArgumentParser:
         description="Twinless strong connectivity and orientation blocks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, oracle: bool = True) -> None:
+    for name, analysis in _ANALYSES.items():
+        p = sub.add_parser(name)
         p.add_argument("--in", dest="infile", default="-", help="input file or - for stdin")
         p.add_argument("--out", dest="out", default="-", help="output file or - for stdout")
         p.add_argument("--json", action="store_true", help="canonical JSON output")
-        if oracle:
-            p.add_argument(
-                "--check-oracle",
-                action="store_true",
-                help="cross-check against the brute-force oracle (small graphs)",
-            )
-
-    for name in ("scc", "tscc", "strong-bridges", "twinless-strong-bridges"):
-        common(sub.add_parser(name))
-    p_2e = sub.add_parser("2escc")
-    common(p_2e)
-    p_2e.add_argument("--baseline", action="store_true", help="run the quadratic baseline instead")
-    p_2et = sub.add_parser("2etscc")
-    common(p_2et)
-    p_2et.add_argument("--baseline", action="store_true", help="run the quadratic baseline instead")
-    p_dom = sub.add_parser("dominators")
-    common(p_dom)
-    p_dom.add_argument("--source", type=int, default=0)
-    for name in ("cactus", "spqr"):
-        common(sub.add_parser(name), oracle=(name == "cactus"))
-    common(sub.add_parser("aux"), oracle=False)
-    p_mveb = sub.add_parser("mveb")
-    common(p_mveb)
-    p_mveb.add_argument("--marked", default="", help="comma-separated marked vertex ids")
-    p_orient = sub.add_parser("orient-blocks")
-    common(p_orient)
-    p_res = sub.add_parser("resilient-blocks")
-    common(p_res)
-    p_res.add_argument("--fail", choices=("directed", "undirected", "both"), default="both")
+        if analysis.agrees:
+            p.add_argument("--check-oracle", action="store_true",
+                           help="cross-check against the brute-force oracle (small graphs)")
+        for flag, kwargs in analysis.options:
+            p.add_argument(flag, **kwargs)
     p_gen = sub.add_parser("gen")
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--m", type=int, required=True)
@@ -223,125 +289,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _dispatch(args) -> int:
-    cmd = args.command
-    if cmd == "scc":
-        _cmd_partition(args, lambda g: scc(g).partition, oracles.oracle_scc)
-    elif cmd == "tscc":
-        _cmd_partition(args, tscc, oracles.oracle_tscc_definitional)
-    elif cmd == "2escc":
-        compute = two_escc_baseline if args.baseline else two_escc
-        _cmd_partition(args, compute, oracles.oracle_2escc)
-    elif cmd == "2etscc":
-        compute = two_etscc_baseline if args.baseline else two_etscc
-        _cmd_partition(args, compute, oracles.oracle_2etscc)
-    elif cmd == "strong-bridges":
-        g = _as_digraph(_load_graph(args.infile))
-        eids = strong_bridges(g)
-        if args.check_oracle:
-            _guard_oracle(g)
-            _check(cmd, tuple(eids), oracles.oracle_strong_bridges(g))
-        _emit(args, _edges_text(g, eids, args.json))
-    elif cmd == "twinless-strong-bridges":
-        g = _as_digraph(_load_graph(args.infile))
-        eids = twinless_strong_bridges(g)
-        if args.check_oracle:
-            _guard_oracle(g)
-            _check(cmd, tuple(eids), oracles.oracle_twinless_strong_bridges(g))
-        _emit(args, _edges_text(g, eids, args.json))
-    elif cmd == "dominators":
-        g = _as_digraph(_load_graph(args.infile))
-        bd = flow_bridges(g, args.source)
-        dt = bd.dom
-        lines = [f"idom {v} {dt.idom[v]}" for v in range(g.n) if v != args.source]
-        lines += [f"bridge {e} {g.edges[e][0]} {g.edges[e][1]}" for e in bd.flow_bridges]
-        if args.check_oracle:
-            _guard_oracle(g)
-            _check(cmd, {v: dt.idom[v] for v in range(g.n) if v != args.source},
-                   oracles.oracle_dominators(g, args.source))
-            _check(cmd, tuple(bd.flow_bridges), oracles.oracle_flow_bridges(g, args.source))
-        _emit(args, "\n".join(lines))
-    elif cmd == "cactus":
-        u = _as_ugraph(_load_graph(args.infile))
-        cac = three_ecc_cactus(u)
-        if args.check_oracle:
-            _guard_oracle(u)
-            _check(cmd, cac.classes, oracles.oracle_3ecc(u))
-        if args.json:
-            _emit(args, json.dumps(
-                {"phi": list(cac.phi),
-                 "edges": [list(e) for e in cac.edges],
-                 "cycles": [list(c) for c in cac.cycles]},
-                separators=(",", ":")))
-        else:
-            lines = [f"node {i}: " + " ".join(map(str, blk)) for i, blk in enumerate(cac.classes)]
-            lines += [
-                "cycle %d: %s" % (c, " ".join(f"({a},{b})#{o}" for a, b, _, o in
-                                              (cac.edges[i] for i in cyc)))
-                for c, cyc in enumerate(cac.cycles)
-            ]
-            _emit(args, "\n".join(lines))
-    elif cmd == "spqr":
-        u = _as_ugraph(_load_graph(args.infile))
-        tree = spqr(u)
-        if args.json:
-            _emit(args, json.dumps(
-                [{"kind": nd.kind, "vertices": len(nd.vertices()), "edges": len(nd.edges)}
-                 for nd in tree.nodes], separators=(",", ":")))
-        else:
-            _emit(args, "\n".join(
-                f"{nd.kind} vertices={len(nd.vertices())} edges={len(nd.edges)}"
-                for nd in tree.nodes))
-    elif cmd == "aux":
-        g = _as_digraph(_load_graph(args.infile))
-        lines = []
-        comps = scc(g).components
-        for comp, (sub_g, verts, _) in zip(comps, g.induced_blocks(comps)):
-            if len(comp) == 1:
-                lines.append(f"member H_ss r={comp[0]} r2={comp[0]} vertices={comp[0]}:oo edges=")
-                continue
-            for h in build_final_family(sub_g, 0):
-                def role(v: int) -> str:
-                    if v in h.attached:
-                        return "att"
-                    first = "o" if v in h.ordinary1 else "a"
-                    second = "o" if v in h.ordinary2 else "a"
-                    return first + second
-
-                lines.append(
-                    "member {kind} r={r} r2={r2} vertices={vs} edges={es}".format(
-                        kind=h.kind,
-                        r=verts[h.r],
-                        r2=verts[h.r2],
-                        vs=",".join(f"{verts[v]}:{role(v)}" for v in h.vertices),
-                        es=";".join(f"{verts[u]}>{verts[v]}" for u, v in h.edges),
-                    )
-                )
-        _emit(args, "\n".join(lines))
-    elif cmd == "mveb":
-        u = _as_ugraph(_load_graph(args.infile))
-        marked = _option(
-            "--marked", lambda t: [int(x) for x in t.split(",") if x.strip()], args.marked
-        )
-        part = marked_veb(u, marked)
-        if args.check_oracle:
-            _guard_oracle(u)
-            _check(cmd, part, oracles.oracle_mveb(u, marked))
-        _emit(args, _partition_text(part, args.json))
-    elif cmd == "orient-blocks":
-        g = _as_mixed(_load_graph(args.infile))
-        part = strongly_orientable_blocks(g)
-        if args.check_oracle:
-            _guard_oracle(g)
-            _check(cmd, part, oracles.oracle_orientable_blocks(g))
-        _emit(args, _partition_text(part, args.json))
-    elif cmd == "resilient-blocks":
-        g = _as_mixed(_load_graph(args.infile))
-        part = edge_resilient_blocks(g, fail=args.fail)
-        if args.check_oracle:
-            _guard_oracle(g)
-            _check(cmd, part, oracles.oracle_edge_resilient(g, fail=args.fail))
-        _emit(args, _partition_text(part, args.json))
-    elif cmd == "gen":
+    if args.command == "gen":
         if args.n < 0 or args.m < 0:
             raise _UsageError("--n and --m must be nonnegative")
         if args.m > 0 and args.n < 2:
@@ -352,8 +300,15 @@ def _dispatch(args) -> int:
         else:
             g = oracles.gen_digraph(args.n, args.m, rng, args.model)
         _emit(args, render_graph(g).rstrip("\n"))
-    else:  # pragma: no cover
-        raise PreconditionError(f"unknown command {cmd}")
+        return 0
+    analysis = _ANALYSES[args.command]
+    g = analysis.view(_load_graph(args.infile))
+    result = analysis.run(g, args)
+    if analysis.agrees and args.check_oracle:
+        _guard_oracle(g)
+        if not analysis.agrees(g, result, args):
+            raise _OracleMismatch(f"{args.command}: fast path disagrees with the oracle")
+    _emit(args, analysis.render(g, result, args))
     return 0
 
 

@@ -260,7 +260,7 @@ def _strongly_connected(g: DiGraph) -> bool:
     )
 
 
-def strong_bridges(g: DiGraph, _checked: bool = False) -> tuple[int, ...]:
+def strong_bridges(g: DiGraph) -> tuple[int, ...]:
     """Strong bridges of a strongly connected digraph.
 
     Union of the flow-graph bridges from the lowest vertex id and the
@@ -269,7 +269,7 @@ def strong_bridges(g: DiGraph, _checked: bool = False) -> tuple[int, ...]:
     """
     if g.n == 0:
         return ()
-    if not _checked and not _strongly_connected(g):
+    if not _strongly_connected(g):
         raise PreconditionError("strong_bridges requires a strongly connected graph")
     if g.m == 0:
         return ()

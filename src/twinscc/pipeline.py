@@ -68,7 +68,7 @@ def partition_et_minus_es(g: DiGraph) -> Partition:
     bridges, _, dfs = _bridges_2ecc(g.n, csr)
     if bridges or not _strongly_connected(g):
         raise PreconditionError("input must be twinless strongly connected")
-    es = set(strong_bridges(g, _checked=True))
+    es = set(strong_bridges(g))
     return _cut_cycle_partition(_cactus_lone_origins(g.n, csr, dfs), es)
 
 

@@ -122,6 +122,66 @@ def test_oracle_mismatch_exit_5(capsys, cyc3_file, monkeypatch):
     assert code == 5 and "oracle mismatch" in err
 
 
+_SMALL = {
+    "digraph": "5 7\nD 0 1\nD 1 2\nD 2 0\nD 2 3\nD 3 4\nD 4 2\nD 1 0\n",
+    "undirected": "4 5\nU 0 1\nU 1 2\nU 2 3\nU 3 0\nU 0 2\n",
+    "mixed": "4 5\nD 0 1\nU 1 2\nU 2 0\nD 2 3\nU 3 0\n",
+}
+# every subcommand with an oracle: (argv, input, the oracles it calls)
+_ORACLE_RUNS = [
+    (["scc"], "digraph", ["oracle_scc"]),
+    (["tscc"], "digraph", ["oracle_tscc_definitional"]),
+    (["strong-bridges"], "digraph", ["oracle_strong_bridges"]),
+    (["twinless-strong-bridges"], "digraph", ["oracle_twinless_strong_bridges"]),
+    (["2escc"], "digraph", ["oracle_2escc"]),
+    (["2etscc"], "digraph", ["oracle_2etscc"]),
+    (["dominators", "--source", "2"], "digraph", ["oracle_dominators", "oracle_flow_bridges"]),
+    (["cactus"], "undirected", ["oracle_3ecc"]),
+    (["mveb", "--marked", "0,2"], "undirected", ["oracle_mveb"]),
+    (["orient-blocks"], "mixed", ["oracle_orientable_blocks"]),
+    (["resilient-blocks", "--fail", "undirected"], "mixed", ["oracle_edge_resilient"]),
+]
+
+
+@pytest.mark.parametrize("argv, kind, names", _ORACLE_RUNS, ids=[r[0][0] for r in _ORACLE_RUNS])
+def test_check_oracle_agrees_then_reports_a_mismatch(
+    capsys, tmp_path, monkeypatch, argv, kind, names
+):
+    from twinscc import cli as climod
+
+    p = tmp_path / "g.txt"
+    p.write_text(_SMALL[kind])
+    code, out, err = _run(capsys, *argv, "--in", str(p), "--check-oracle")
+    assert code == 0 and out and err == ""
+    for name in names:
+        with monkeypatch.context() as m:
+            m.setattr(climod.oracles, name, lambda *a, **kw: None)
+            assert _run(capsys, *argv, "--in", str(p), "--check-oracle") == (
+                5, "", f"oracle mismatch: {argv[0]}: fast path disagrees with the oracle\n"
+            ), name
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["scc"], "D 0 1\nD 1 0\n" * 256 + "D 0 1\n"),
+        (["orient-blocks"], "D 0 1\n" * 256 + "U 0 1\n" * 257),  # 256 + 257 edges
+        (["cactus"], "U 0 1\n" * 513),
+    ],
+    ids=["digraph", "mixed", "undirected"],
+)
+def test_check_oracle_refuses_more_than_the_edge_limit(capsys, tmp_path, argv, text):
+    from twinscc.cli import ORACLE_EDGE_LIMIT
+
+    assert ORACLE_EDGE_LIMIT == 512
+    p = tmp_path / "big.g"
+    p.write_text("2 513\n" + text)
+    assert _run(capsys, *argv, "--in", str(p))[0] == 0
+    assert _run(capsys, *argv, "--in", str(p), "--check-oracle") == (
+        4, "", "error: --check-oracle is limited to graphs with at most 512 edges\n"
+    )
+
+
 @pytest.mark.parametrize("exc", [RecursionError, AssertionError])
 def test_internal_error_exit_6(capsys, tri_undirected_file, monkeypatch, exc):
     from twinscc import cli as climod
@@ -274,6 +334,37 @@ def test_readme_lists_every_subcommand():
     }
     sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert listed == set(sub.choices)
+
+
+def test_parser_options_are_pinned():
+    # the option strings of each subcommand, in the order --help lists them
+    io = ["-h", "--help", "--in", "--out", "--json"]
+    checked = io + ["--check-oracle"]
+    want = [
+        ("scc", checked),
+        ("tscc", checked),
+        ("strong-bridges", checked),
+        ("twinless-strong-bridges", checked),
+        ("2escc", checked + ["--baseline"]),
+        ("2etscc", checked + ["--baseline"]),
+        ("dominators", checked + ["--source"]),
+        ("cactus", checked),
+        ("spqr", io),
+        ("aux", io),
+        ("mveb", checked + ["--marked"]),
+        ("orient-blocks", checked),
+        ("resilient-blocks", checked + ["--fail"]),
+        ("gen", ["-h", "--help", "--n", "--m", "--model", "--seed", "--out"]),
+    ]
+    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    got = [
+        (name, [s for a in p._actions for s in a.option_strings])
+        for name, p in sub.choices.items()
+    ]
+    assert got == want
+    # and the oracle tests run every subcommand that offers --check-oracle
+    offered = [name for name, options in want if "--check-oracle" in options]
+    assert offered == [argv[0] for argv, _, _ in _ORACLE_RUNS]
 
 
 def test_output_file(tmp_path, capsys, cyc3_file):

@@ -72,6 +72,11 @@ def test_partition_et_examples():
     assert p == Partition([[0, 1, 2], [3, 4, 5]])
 
 
+def test_partition_et_on_zero_and_one_vertex():
+    assert partition_et_minus_es(DiGraph(0, [])) == Partition([])
+    assert partition_et_minus_es(DiGraph(1, [])) == Partition([[0]])
+
+
 def test_partition_et_requires_twinless_strong_connectivity():
     with pytest.raises(PreconditionError):
         partition_et_minus_es(bik2())
@@ -622,6 +627,65 @@ def test_tscc_chain_and_twin_rung_ladder_cost_a_constant_number_of_scc_passes(g,
     for fn in (two_escc, two_etscc):
         passes = _scc_passes(fn, g)
         assert passes <= bound, f"{fn.__name__} took {passes:.0f} scc passes at m = {g.m}"
+
+
+_ONE_WAY_K4 = ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (3, 1))
+_BIDIRECTED_K4 = tuple((a, b) for a in range(4) for b in range(4) if a != b)
+
+
+def _nested_rings(k: int, twinless_only: bool) -> DiGraph:
+    """k rings of 4 vertices, each with K4 as its underlying graph,
+    oriented alternately one way (with strong bridges inside) and both
+    ways.  Rings i - 1 and i are joined by exactly two underlying edges,
+    so the 3ecc cactus is a path k nodes deep.  The edges that cross are
+    strong bridges, one each way; or, with ``twinless_only``, a lone
+    edge into ring i, a twinless strong bridge but no strong bridge,
+    beside a twin pair whose edge out of ring i has a parallel copy."""
+    edges = []
+    for i in range(k):
+        r = 4 * i
+        edges += [(r + a, r + b) for a, b in (_ONE_WAY_K4, _BIDIRECTED_K4)[i % 2]]
+        if i:
+            edges.append((r - 3, r))
+            if twinless_only:
+                edges += [(r - 1, r + 2), (r + 2, r - 1), (r + 2, r - 1)]
+            else:
+                edges.append((r + 2, r - 1))
+    return DiGraph(4 * k, edges)
+
+
+@pytest.mark.parametrize("twinless_only", [False, True], ids=["strong", "twinless_only"])
+def test_nested_two_edge_cuts_vs_baselines(twinless_only):
+    # about 600 edges, 50 rings; the baselines take about 0.2 s here
+    k = 50
+    g = _nested_rings(k, twinless_only)
+    cactus = undirected.three_ecc_cactus(graph.underlying(g))
+    assert len(cactus.classes) == k and len(cactus.cycles) == k - 1
+    assert all(len(cycle) == 2 for cycle in cactus.cycles)
+    crossing = {e for e, (u, v) in enumerate(g.edges) if u // 4 != v // 4}
+    sbs, tsbs = crossing & set(strong_bridges(g)), crossing & set(twinless_strong_bridges(g))
+    if twinless_only:
+        assert not sbs and len(tsbs) == k - 1
+    else:
+        assert sbs == tsbs == crossing
+    assert len(tscc(g)) == 1
+    got = two_etscc(g)
+    assert got == two_etscc_baseline(g, deadline=time.perf_counter() + 60)
+    assert two_escc(g) == two_escc_baseline(g)
+    assert 1 < len(got) < g.n
+
+
+@pytest.mark.parametrize(
+    "twinless_only, k", [(False, 900), (True, 770)], ids=["strong", "twinless_only"]
+)
+def test_nested_two_edge_cuts_cost_a_constant_number_of_scc_passes(twinless_only, k):
+    # about 10^4 edges.  two_escc and two_etscc cost about 14 and 35-37
+    # scc passes with strong bridges crossing and 9 and 20 with twinless
+    # ones only, at 10^4 and 2 * 10^4 edges alike
+    g = _nested_rings(k, twinless_only)
+    for fn in (two_escc, two_etscc):
+        passes = _scc_passes(fn, g)
+        assert passes <= 100, f"{fn.__name__} took {passes:.0f} scc passes at m = {g.m}"
 
 
 def _scc_passes(fn, g: DiGraph) -> float:
