@@ -26,6 +26,7 @@ calls (``_lone``, ``_splittable``) keep its bare oo-set instead.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -191,42 +192,39 @@ def build_first_level(g: DiGraph, s: int, _bd=None, _lone: bool = False) -> list
     return out
 
 
-def s_operation(g: DiGraph, eid: int, cap: Optional[int] = None) -> list[tuple[tuple[int, ...], list[tuple[int, int]], frozenset[int]]]:
+def _capped(edges) -> list[tuple[int, int]]:
+    """The non-loop ``edges``, sorted, each at most twice."""
+    counts = Counter(e for e in edges if e[0] != e[1])
+    return sorted([*counts, *(e for e, k in counts.items() if k > 1)])
+
+
+def s_operation(g: DiGraph, eid: int) -> list:
     """S-operation of ``g`` on the strong bridge with edge id ``eid``.
 
     Returns one (vertices, edges, attached) triple per SCC C of g minus the
     bridge: internal edges are kept, edges leaving C are redirected into x,
     edges entering C are re-sourced from y, the bridge (x, y) is re-added,
-    and self-loops are dropped.  ``cap`` optionally bounds multiplicities.
+    and the edges are ``_capped``: self-loops dropped, at most two copies.
     """
     x, y = g.edges[eid]
     sr = scc(g.without_edges([eid]))
     if len(sr.components) <= 1:
         raise PreconditionError("S-operation requires a strong bridge")
-    comp_of, counts = sr.comp_of, [{} for _ in sr.components]
-
-    def put(c: int, u: int, v: int) -> None:
-        k = counts[c].get((u, v), 0)
-        if u != v and (cap is None or k < cap):
-            counts[c][(u, v)] = k + 1
-
+    comp_of, edges_of = sr.comp_of, [[(x, y)] for _ in sr.components]
     # one pass: each edge lands in its tail's and its head's member
     for j, (u, v) in enumerate(g.edges):
         if j == eid:
             continue
         cu, cv = comp_of[u], comp_of[v]
         if cu == cv:
-            put(cu, u, v)
+            edges_of[cu].append((u, v))
         else:
-            put(cu, u, x)
-            put(cv, y, v)
-    members = []
-    for c, comp in enumerate(sr.components):
-        put(c, x, y)
-        verts = tuple(sorted(set(comp) | {x, y}))
-        edges = [e for e, k in sorted(counts[c].items()) for _ in range(k)]
-        members.append((verts, edges, frozenset({x, y}.difference(comp))))
-    return members
+            edges_of[cu].append((u, x))
+            edges_of[cv].append((y, v))
+    return [
+        (tuple(sorted({*comp, x, y})), _capped(edges), frozenset({x, y}.difference(comp)))
+        for comp, edges in zip(sr.components, edges_of)
+    ]
 
 
 def second_level(h1: AuxGraph, _splittable: bool = False) -> list:
@@ -293,13 +291,9 @@ def second_level(h1: AuxGraph, _splittable: bool = False) -> list:
             h2_graph = DiGraph._trusted(
                 len(verts), tuple((vmap[u], vmap[v]) for u, v in edges)
             )
-            crit_ids = [
-                i for i, e in enumerate(h2_graph.edges)
-                if e == (vmap[crit[0]], vmap[crit[1]])
-            ]
-            if len(crit_ids) != 1:
+            if edges.count(crit) != 1:
                 raise AssertionError("critical edge must have multiplicity one")
-            for mverts, medges, mattached in s_operation(h2_graph, crit_ids[0], cap=2):
+            for mverts, medges, mattached in s_operation(h2_graph, edges.index(crit)):
                 overts = tuple(verts[i] for i in mverts)
                 attached = frozenset(verts[i] for i in mattached)
                 vset = set(overts)
@@ -341,30 +335,19 @@ def _tilde(
     contributes to the output.
     """
     r = h1.r
-    counts: dict[tuple[int, int], int] = {}
-    shortcuts: list[int] = []
+    kept: list[tuple[int, int]] = []
     for u, v in edges:
         if v == dcrit:
             if u != r:
                 raise AssertionError("critical vertex with a stray in-edge")
-            continue
-        if u == dcrit:
-            shortcuts.append(v)
-            continue
-        counts[(u, v)] = min(2, counts.get((u, v), 0) + 1)
-    for w in shortcuts:
-        if w != r:
-            counts[(r, w)] = min(2, counts.get((r, w), 0) + 1)
-    out_edges: list[tuple[int, int]] = []
-    for (u, v), c in sorted(counts.items()):
-        out_edges.extend([(u, v)] * c)
-    new_verts = tuple(v for v in verts if v != dcrit)
+        else:
+            kept.append((r, v) if u == dcrit else (u, v))  # (r, r) is dropped
     return AuxGraph(
         kind=KIND_TILDE,
         r=r,
         r2=r,
-        vertices=new_verts,
-        edges=tuple(out_edges),
+        vertices=tuple(v for v in verts if v != dcrit),
+        edges=tuple(_capped(kept)),
         ordinary1=h1.ordinary1,
         ordinary2=ordinary2 - {dcrit},
         attached=frozenset(),

@@ -99,44 +99,35 @@ def partition_strong_bridges(h: AuxGraph) -> Partition:
     a strong bridge iff it is x's only out-edge or y's only in-edge,
     parallel copies counted.  The pipeline calls this only on members
     with at least two oo vertices; the others cannot split.
+
+    Each X_e is contracted into its union-find root, in the ids of
+    ``h.digraph()``.  A vertex absorbed into a root is left isolated; no
+    X_e holds an oo vertex, so the filter on ``h.oo`` drops it.
     """
     d, local, back = h.digraph()
     sbs = _lone_edges(d)
     if not sbs:
         return Partition._trusted([tuple(sorted(h.oo))])
-    xes = [classify_xe(h, e) for e in sbs]
-
     parent = list(range(d.n))
-    for xe in xes:
-        members = sorted(local[v] for v in xe.members)
+    xe_verts = set()
+    for e in sbs:
+        members = sorted(local[v] for v in classify_xe(h, e).members)
+        xe_verts.update(members)
         for v in members[1:]:
             _union(parent, members[0], v)
-
-    # quotient vertex of each v: classes numbered by least member
-    qid: dict[int, int] = {}
-    q = [qid.setdefault(_find(parent, v), len(qid)) for v in range(d.n)]
-    classes: list[list[int]] = [[] for _ in qid]
-    for v, qv in enumerate(q):
-        classes[qv].append(v)
-    marked = sorted({q[local[v]] for xe in xes for v in xe.members})
+    root = [_find(parent, v) for v in range(d.n)]
+    marked = sorted({root[v] for v in xe_verts})
 
     # each pair of the simple underlying graph once, through the
-    # contraction; parallel quotient edges stay, marked_veb needs them
+    # contraction; parallel contracted edges stay, marked_veb needs them
     pairs = {(a, b) if a < b else (b, a) for a, b in d.edges if a != b}
-    qedges = tuple((q[a], q[b]) for a, b in sorted(pairs) if q[a] != q[b])
-    blocks_q = marked_veb(UGraph._trusted(len(classes), qedges), marked)
-
+    cedges = tuple((root[a], root[b]) for a, b in sorted(pairs) if root[a] != root[b])
     blocks = []
-    for qblock in blocks_q:
-        members = []
-        for qv in qblock:
-            for v in classes[qv]:
-                orig = back[v]
-                if orig in h.oo:
-                    members.append(orig)
+    for block in marked_veb(UGraph._trusted(d.n, cedges), marked):
+        members = [back[v] for v in block if back[v] in h.oo]
         if members:
             blocks.append(tuple(sorted(members)))
-    # disjoint: marked_veb's blocks are, and so are the classes
+    # disjoint: marked_veb's blocks are
     return Partition._trusted(sorted(blocks))
 
 
@@ -148,18 +139,6 @@ def _lone_edges(d: DiGraph) -> list[int]:
         outdeg[x] += 1
         indeg[y] += 1
     return [e for e, (x, y) in enumerate(d.edges) if outdeg[x] == 1 or indeg[y] == 1]
-
-
-def _strong_bridge_passes(g: DiGraph):
-    """Yield the forward flow-graph pass from source 0 of the strongly
-    connected ``g``, then the reverse pass's bridge ids: together they are
-    its strong bridges; the forward pass also seeds the auxiliary family.
-
-    A caller that only asks whether a strong bridge exists stops after a
-    forward pass that finds one.
-    """
-    yield flow_bridges(g, 0)
-    yield _find_bridges(g.reverse(), 0)[1]
 
 
 def _splittable_family(g: DiGraph, bd):
@@ -209,15 +188,14 @@ def two_escc(g: DiGraph) -> Partition:
     components = scc(g).components
     blocks = [comp for comp in components if len(comp) == 1]
     for sub, verts, _ in _scc_subgraphs(g, components):
-        passes = _strong_bridge_passes(sub)
-        bd = next(passes)
-        if not bd.flow_bridges and not next(passes):
-            blocks.append(tuple(range(sub.n)) if verts is None else tuple(verts))
+        bd = flow_bridges(sub, 0)
+        if not bd.flow_bridges and not _find_bridges(sub.reverse(), 0)[1]:
+            blocks.append(tuple(verts))
             continue
         for h in _splittable_family(sub, bd):
             oo = h.oo if isinstance(h, AuxGraph) else h
             if oo:
-                blocks.append(tuple(sorted(oo if verts is None else (verts[i] for i in oo))))
+                blocks.append(tuple(sorted(verts[i] for i in oo)))
     return Partition._trusted(sorted(blocks))
 
 
@@ -233,14 +211,13 @@ def two_etscc(g: DiGraph) -> Partition:
             csr, dfs = under or (_underlying_csr(sub), None)
             cactus = _cactus_lone_origins(sub.n, csr, dfs)
             del under, csr, dfs  # not held through the flow-graph passes
-            passes = _strong_bridge_passes(sub)
-            bd = next(passes)
-            es = set(bd.flow_bridges).union(next(passes))
+            bd = flow_bridges(sub, 0)
+            es = set(bd.flow_bridges).union(_find_bridges(sub.reverse(), 0)[1])
             part = _cut_cycle_partition(cactus, es)
             if es:  # without strong bridges their partition is the whole TSCC
                 part = part.refine(_strong_bridge_partition(sub, bd))
             for piece in part:
-                blocks.append(piece if verts is None else tuple(verts[i] for i in piece))
+                blocks.append(tuple(verts[i] for i in piece))
     return Partition._trusted(sorted(blocks))
 
 

@@ -9,8 +9,7 @@ subgraph (``graph._underlying_csr``), whose DFS tree the 3ecc sweep reuses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Optional
 
 from .graph import DiGraph, Partition, _underlying_csr
@@ -20,22 +19,15 @@ from .dominators import strong_bridges
 
 @dataclass(frozen=True)
 class SccResult:
-    """SCC partition plus the condensation in topological order.
+    """SCC partition with its components in topological order.
 
-    ``comp_of[v]`` is the topological index of v's component:
-    every condensation edge (a, b) has a < b.  The condensation edges are
-    built on first read.
+    ``comp_of[v]`` is the topological index of v's component: every edge
+    (u, v) has comp_of[u] <= comp_of[v].
     """
 
     partition: Partition
     comp_of: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
-    _edges: tuple[tuple[int, int], ...] = field(repr=False, compare=False)
-
-    @cached_property
-    def condensation_edges(self) -> tuple[tuple[int, int], ...]:
-        c = self.comp_of
-        return tuple(sorted({(c[u], c[v]) for u, v in self._edges if c[u] != c[v]}))
 
 
 def scc(g: DiGraph) -> SccResult:
@@ -101,16 +93,17 @@ def scc(g: DiGraph) -> SccResult:
     k = len(comps)
     comp_of = tuple(k - 1 - comp[v] for v in range(n))
     components = tuple(reversed(comps))
-    return SccResult(Partition._trusted(sorted(components)), comp_of, components, g.edges)
+    return SccResult(Partition._trusted(sorted(components)), comp_of, components)
 
 
 def _scc_subgraphs(g: DiGraph, components) -> list:
     """(sub, verts, eids) per component of two or more vertices, in order:
     ``induced`` of each, from one pass over the edges, or ``g`` itself
-    with ``verts`` and ``eids`` None when the component is all of ``g``."""
+    with the identity maps ``range(g.n)`` and ``range(g.m)`` when the
+    component is all of ``g``."""
     big = [c for c in components if len(c) > 1]
     if len(big) == 1 and len(big[0]) == g.n:
-        return [(g, None, None)]
+        return [(g, range(g.n), range(g.m))]
     return g.induced_blocks(big)
 
 
@@ -118,9 +111,10 @@ def _scc_parts(g: DiGraph):
     """Yield (tsccs, sub, verts, eids, under) per SCC of ``g``; the one
     TSCC loop.
 
-    ``sub`` is the SCC's induced subgraph (see ``_scc_subgraphs``: ``verts``
-    and ``eids`` map its vertices and edges back to ``g``) and ``tsccs`` the
-    SCC's TSCCs in ``sub``'s ids: the 2ecc blocks of its underlying CSR.
+    ``sub`` is the SCC's induced subgraph, ``verts`` and ``eids`` map its
+    vertices and edges back to ``g`` (see ``_scc_subgraphs``), and
+    ``tsccs`` are the SCC's TSCCs in ``sub``'s ids: the 2ecc blocks of its
+    underlying CSR.
     ``under`` is (that CSR, its 2ecc sweep's DFS tree) if it is one block,
     else None.  A one-vertex SCC {v} yields (((0,),), None, [v], None, None).
     """
@@ -151,12 +145,7 @@ def _tscc_graphs(part, min_size: int):
     for tsub, tverts, teids in sub.induced_blocks(
         b for b in tsccs if len(b) >= min_size
     ):
-        yield (
-            tsub,
-            tverts if verts is None else [verts[i] for i in tverts],
-            teids if eids is None else [eids[i] for i in teids],
-            None,
-        )
+        yield tsub, [verts[i] for i in tverts], [eids[i] for i in teids], None
 
 
 def tscc(g: DiGraph, _parts: Optional[list] = None) -> Partition:
@@ -174,7 +163,7 @@ def tscc(g: DiGraph, _parts: Optional[list] = None) -> Partition:
         parts = _parts
     # ascending blocks mapped through ascending ``verts`` stay ascending
     return Partition._trusted(sorted(
-        b if verts is None else tuple(verts[i] for i in b)
+        tuple(verts[i] for i in b)
         for tsccs, _, verts, _, _ in parts
         for b in tsccs
     ))
@@ -190,12 +179,11 @@ def twinless_strong_bridges(g: DiGraph) -> tuple[int, ...]:
     result: set[int] = set()
     for part in _scc_parts(g):
         for sub, _, eids, under in _tscc_graphs(part, 3):
-            orig_eid = range(g.m) if eids is None else eids
             for e in strong_bridges(sub):
-                result.add(orig_eid[e])
+                result.add(eids[e])
             csr, dfs = under or (_underlying_csr(sub), None)
             cls = _three_ecc_classes(sub.n, *csr, dfs).block_index()
             for _, _, e in _between(*csr, cls):
                 if e >= 0:  # one origin
-                    result.add(orig_eid[e])
+                    result.add(eids[e])
     return tuple(sorted(result))

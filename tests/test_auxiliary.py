@@ -243,9 +243,9 @@ def test_s_operation_reads_each_edge_a_constant_number_of_times(monkeypatch):
     s_op = auxiliary.s_operation
     seen = []
 
-    def counted(g, eid, cap=None):
+    def counted(g, eid):
         edges = _CountingEdges(g.edges)
-        members = s_op(DiGraph._trusted(g.n, edges), eid, cap)
+        members = s_op(DiGraph._trusted(g.n, edges), eid)
         seen.append((len(members), edges.reads / g.m))
         return members
 

@@ -249,6 +249,10 @@ _TWINNY_OUT = {
     ("2etscc",): "0\n1\n2\n3\n4\n5 6\n",
 }
 _TWINNY_AUX_SHA256 = "ec7655fbdc8bb85382974195eb072091f5a72b7fc40d4e1c9b248b783e456e89"
+# a family with all five member kinds, where an S-operation member and the
+# tilde_H_rr member each get three copies of one edge and keep two
+_CAPPED = "4 6\nD 0 2\nD 2 1\nD 1 3\nD 3 0\nD 1 2\nD 1 2\n"
+_CAPPED_AUX_SHA256 = "abf55c7fbd70970212162252b4fcadce0a181396661115df5d4b4e41104b2c85"
 
 
 def test_outputs_on_twins_and_parallels_are_pinned(capsys, tmp_path):
@@ -260,6 +264,11 @@ def test_outputs_on_twins_and_parallels_are_pinned(capsys, tmp_path):
         assert _run(capsys, cmd, "--in", str(p), *flags) == (0, want, ""), cmd
     code, out, _ = _run(capsys, "aux", "--in", str(p))
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == _TWINNY_AUX_SHA256
+    p.write_text(_CAPPED)
+    code, out, _ = _run(capsys, "aux", "--in", str(p))
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == _CAPPED_AUX_SHA256
+    kinds = {line.split()[1] for line in out.splitlines()}
+    assert kinds == {"H_ss", "H_rr", "tilde_H_rr", "S(H_sr)", "S(H_rr')"}
 
 
 def test_cactus_and_spqr(capsys, tri_undirected_file):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 import sys
 
@@ -79,6 +80,12 @@ def test_no_bare_assert_outside_oracles():
         if name != "oracles":
             bare = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
             assert bare == [], (name, bare)
+
+
+def test_no_line_is_longer_than_100_columns():
+    for path in sorted(pathlib.Path(twinscc.__file__).parent.glob("*.py")):
+        lines = path.read_text().splitlines()
+        assert [i for i, line in enumerate(lines, 1) if len(line) > 100] == [], path.name
 
 
 def test_every_private_switch_is_set_inside_the_library():

@@ -22,7 +22,7 @@ from twinscc import auxiliary, dominators, graph, oracles, pipeline, undirected
 from twinscc.orientation import split_and_gadget
 
 from named_graphs import bik2, bik3, cyc3, two_triangles
-from test_auxiliary import _triangles_behind_one_exit
+from test_auxiliary import _reduced_and_bridgey_graphs, _triangles_behind_one_exit
 from test_dominators import _chain
 from test_graph_core import with_twins_and_parallels
 from test_strong import et_gap_fixture
@@ -35,9 +35,8 @@ def checked_two_etscc(g: DiGraph) -> Partition:
     against its flow-graph passes, and each X_e against SCCs."""
     for part in _scc_parts(g):
         for sub, _, _, _ in _tscc_graphs(part, 2):
-            passes = pipeline._strong_bridge_passes(sub)
-            bd = next(passes)
-            if not bd.flow_bridges and not next(passes):
+            bd = dominators.flow_bridges(sub, 0)
+            if not bd.flow_bridges and not dominators._find_bridges(sub.reverse(), 0)[1]:
                 continue
             for h in pipeline._splittable_family(sub, bd):
                 if not isinstance(h, auxiliary.AuxGraph):
@@ -152,41 +151,61 @@ def test_gap_fixture_end_to_end():
     assert two_etscc(g) == Partition([[0, 1, 2], [3, 4, 5]])
 
 
-def test_partition_strong_bridges_equals_per_bridge_refinement(rng):
-    # per family member, the marked-contraction partition equals the
-    # refinement over its strong bridges of the 2ecc blocks of the
-    # underlying graph minus X_e, restricted to oo vertices
+def _check_partition_strong_bridges(h) -> bool:
+    """Assert that the marked-contraction partition of the member ``h``
+    equals the refinement over its strong bridges of the 2ecc blocks of
+    the underlying graph minus X_e, restricted to oo vertices.  True when
+    some X_e has two vertices, so that ``partition_strong_bridges``
+    absorbs one of them into the other."""
     from twinscc.graph import UGraph, underlying
     from twinscc.undirected import bridges_2ecc
-    from twinscc.auxiliary import aux_strong_bridges, build_final_family, classify_xe
+    from twinscc.auxiliary import aux_strong_bridges, classify_xe
     from twinscc.pipeline import partition_strong_bridges
 
+    got = partition_strong_bridges(h)
+    d, _, back = h.digraph()
+    view = underlying(d)
+    want = Partition([sorted(h.oo)])
+    pair = False
+    for e in aux_strong_bridges(h):
+        xe = classify_xe(h, e)
+        pair |= len(xe.members) == 2
+        keep = {v for v in range(d.n) if back[v] not in xe.members}
+        sub_edges = [(a, b) for a, b in view.edges if a in keep and b in keep]
+        _, blocks = bridges_2ecc(UGraph(d.n, sub_edges))
+        mapped = Partition(
+            [
+                blk
+                for b2 in blocks
+                if (blk := [back[v] for v in b2 if back[v] in h.oo])
+            ]
+        )
+        want = want.refine(mapped)
+    assert got == want, (h.kind, h.vertices, h.edges)
+    return pair
+
+
+def test_partition_strong_bridges_equals_per_bridge_refinement(rng):
+    # per family member; the counts show that some X_e is an attached
+    # pair or X_xy, one of whose vertices is absorbed into the other
+    from twinscc.auxiliary import build_final_family
+
+    pairs = 0
     for _ in range(60):
         n = rng.randrange(2, 9)
         g = oracles.gen_strongly_connected(n, rng.randrange(n, 2 * n + 6), rng, "bridgey")
         for h in build_final_family(g, 0):
-            if not h.oo:
-                continue
-            got = partition_strong_bridges(h)
-            d, local, back = h.digraph()
-            want = Partition([sorted(h.oo)])
-            for e in aux_strong_bridges(h):
-                xe = classify_xe(h, e)
-                keep = [v for v in range(d.n) if back[v] not in xe.members]
-                view = underlying(d)
-                sub_edges = [
-                    (a, b) for a, b in view.edges if a in set(keep) and b in set(keep)
-                ]
-                _, blocks = bridges_2ecc(UGraph(d.n, sub_edges))
-                mapped = Partition(
-                    [
-                        blk
-                        for b2 in blocks
-                        if (blk := [back[v] for v in b2 if back[v] in h.oo])
-                    ]
-                )
-                want = want.refine(mapped)
-            assert got == want, (g.edges, h.kind, h.vertices)
+            if h.oo:
+                pairs += _check_partition_strong_bridges(h)
+    assert pairs > 0
+    pairs = 0
+    for g in _reduced_and_bridgey_graphs():
+        for block in tscc(g):
+            if len(block) > 1:
+                for h in build_final_family(g.induced(block)[0], 0):
+                    if h.oo:
+                        pairs += _check_partition_strong_bridges(h)
+    assert pairs > 0
 
 
 def test_bridge_rich_generator_vs_oracle(rng):
