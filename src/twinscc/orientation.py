@@ -3,8 +3,7 @@
 Strongly orientable blocks are computed on the mixed graph itself: one SCC
 pass and one 2ecc pass (see ``strongly_orientable_blocks``).  That is what
 the TSCCs of the split-and-twin reduction below give on the original
-vertices; ``split_and_twin`` stays as that reference.  Edge-resilient
-blocks reduce to 2-edge twinless strong connectivity.
+vertices; ``split_and_twin`` stays as that reference.
 
 Splitting a directed edge (x, y) replaces it by (x, z), (z, y) through a
 fresh auxiliary vertex.  An undirected edge {x, y} is replaced either by a
@@ -14,9 +13,9 @@ simulates deleting {x, y}; any traversal of the gadget that avoids the
 critical edge must use the twin pair (x,z),(z,x), which ties orientations
 of {x, y} to twinless connectivity.  The gadget construction uses the
 stored endpoint order of the undirected edge; the resulting partition does
-not depend on that order.  Edge-resilient blocks are one 2eTSCC
-computation on the gadget reduction for every failure set; the restricted
-sets double the edges that may not fail (see ``edge_resilient_blocks``).
+not depend on that order.  Edge-resilient blocks are the 2eTSCCs of this
+paper's reduction on the original vertices; ``edge_resilient_blocks``
+computes them on a smaller digraph.
 """
 
 from __future__ import annotations
@@ -111,28 +110,54 @@ def strongly_orientable_blocks(g: MixedGraph) -> Partition:
     return bridges_2ecc(UGraph._trusted(g.n, h))[1]
 
 
+def _resilient_reduction(g: MixedGraph, fail: str) -> DiGraph:
+    """The digraph that ``edge_resilient_blocks`` analyses for ``fail``."""
+    copies = 2 if fail == "undirected" else 1  # directed edges that may not fail
+    directed, edges, nxt = set(g.directed), [], g.n
+    for x, y in g.directed:
+        if (y, x) not in directed:
+            edges += ((x, y),) * copies
+        elif x != y or fail != "undirected":  # a twin, or a loop that may fail
+            edges += ((x, nxt), (nxt, y)) * copies
+            nxt += 1
+    for x, y in g.undirected:
+        z, u, v = nxt, nxt + 1, nxt + 2
+        gadget = ((x, z), (z, x), (z, u), (u, v), (v, y), (y, u), (v, z))
+        if fail == "directed":  # the path x, z, y in place of the gadget
+            edges += ((x, z), (z, x), (z, y), (y, z)) * 2
+        else:  # "undirected" doubles all but the critical edge (u, v)
+            edges += gadget if fail == "both" else gadget + gadget[:3] + gadget[4:]
+        nxt += 1 if fail == "directed" else 3
+    # endpoints from the checked ``g`` and fresh ids
+    return DiGraph._trusted(nxt, tuple(edges))
+
+
 def edge_resilient_blocks(g: MixedGraph, fail: str = "both") -> Partition:
     """Maximal vertex sets C such that for every failing edge e some
     orientation of g minus e strongly connects C.
 
     ``fail`` restricts which edges may fail ("directed", "undirected", or
-    "both").  Every mode is one 2eTSCC computation on the gadget reduction,
-    restricted to the ordinary vertices.  In the restricted modes each
-    reduced edge that may not fail (gadget edges for "directed"; split
-    halves and non-critical gadget edges for "undirected") first gets a
-    parallel copy.  A copy is never a twin and no twinless spanning
-    subgraph needs both, so the TSCCs stay those of the reduced graph;
-    deleting one copy of a doubled edge changes no TSCC, and deleting a
-    failing edge f leaves the TSCCs of the reduced graph minus f.  The
-    2eTSCCs are therefore the TSCCs refined by those of the reduced graph
-    minus f over the failing edges f only.
+    "both").  Each mode is one 2eTSCC computation on a digraph with the
+    2eTSCCs, on the original vertices, of the gadget reduction with its
+    edges that may not fail doubled.  The 2eTSCCs refine the TSCCs by those
+    of the graph minus f over all edges f; the TSCCs are the 2ecc classes
+    of the simple underlying graph of each SCC (``strong``).  Hence:
+    (a) A doubled edge never matters: its copy is no twin and collapses in
+    that graph, and deleting one copy leaves the other.
+    (b) A directed (x, y) with no directed (y, x) (a loop is its own
+    reverse) is no twin, as every gadget edge has a fresh end, so it stays
+    unsplit.  Inside an SCC it closes a cycle with a path from y to x, as
+    the split path x-z-y does: neither is a bridge, so the 2ecc classes
+    stay, also after deleting it, a half, or any other edge.
+    (c) An undirected edge whose reduced edges never fail may be the path
+    x, w, y with both orientations of each edge, doubled.  Like the gadget
+    (the edge x-z on a 2-edge-connected piece z, u, v, y), it joins x and
+    y both ways and acts as the edge x-y in the simple underlying graph.  A
+    fresh w per edge keeps parallel undirected edges from becoming twins.
+    "both" uses (b); "directed" uses (b) and (c); "undirected" uses (a) and
+    (b) on doubled directed edges and drops directed loops, whose doubled
+    split only hangs a fresh vertex on x.
     """
     if fail not in ("both", "directed", "undirected"):
         raise GraphError(f"unknown failure set {fail!r}")
-    red = split_and_gadget(g)
-    d = red.graph
-    if fail != "both":
-        failing = set(red.split_edges if fail == "directed" else red.critical_edges)
-        copies = tuple(e for i, e in enumerate(d.edges) if i not in failing)
-        d = DiGraph._trusted(d.n, d.edges + copies)
-    return red.ordinary_restriction(two_etscc(d))
+    return two_etscc(_resilient_reduction(g, fail)).restricted(range(g.n))

@@ -271,6 +271,32 @@ def test_outputs_on_twins_and_parallels_are_pinned(capsys, tmp_path):
     assert kinds == {"H_ss", "H_rr", "tilde_H_rr", "S(H_sr)", "S(H_rr')"}
 
 
+# a mixed graph with antiparallel directed pairs, directed and undirected
+# loops, two and three parallel undirected copies, and a directed edge
+# beside an undirected one on the same pair; hashed when every directed
+# edge was still split and the restricted modes doubled the gadget graph
+_MIXED = (
+    "10 22\nD 0 1\nD 1 0\nD 2 3\nD 3 2\nD 1 2\nD 4 4\nU 5 5\nD 9 9\n"
+    "U 0 2\nU 0 2\nU 4 5\nU 4 5\nU 4 5\nD 3 4\nU 3 4\nU 5 6\nD 6 5\n"
+    "U 6 7\nU 7 8\nU 8 6\nD 8 9\nD 9 8\n"
+)
+_MIXED_RESILIENT_SHA256 = {
+    "both": "2eb8aac5a74d67a1d124446e7bed7dc1defd3fb51da9ba8700f163c49a433c52",
+    "directed": "8ac3e45e39dacecb810e4e7e0793ad66b5c1b9da8151c7b0ef9d1e0be14cf57c",
+    "undirected": "e7bf49e544e9324c466b8bac02aa229a381e89d565913809e209b02bb91b196a",
+}
+
+
+@pytest.mark.parametrize("fail", sorted(_MIXED_RESILIENT_SHA256))
+def test_resilient_blocks_output_is_pinned(capsys, tmp_path, fail):
+    import hashlib
+
+    p = tmp_path / "mixed.g"
+    p.write_text(_MIXED)
+    code, out, _ = _run(capsys, "resilient-blocks", "--in", str(p), "--fail", fail, "--json")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == _MIXED_RESILIENT_SHA256[fail]
+
+
 def test_cactus_and_spqr(capsys, tri_undirected_file):
     code, out, _ = _run(capsys, "cactus", "--in", tri_undirected_file, "--check-oracle")
     assert code == 0

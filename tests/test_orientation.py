@@ -114,6 +114,40 @@ def test_failure_set_variants_vs_oracle(rng):
             assert got == want, (g.directed, g.undirected, fail)
 
 
+def _shaped_mixed(rng: random.Random) -> MixedGraph:
+    """At most 12 edges with the shapes the reductions treat apart: an
+    antiparallel directed pair, a directed loop, an undirected loop and a
+    parallel undirected copy, each present in most graphs."""
+    n = rng.randrange(2, 6)
+
+    def pairs(k):
+        return [(rng.randrange(n), rng.randrange(n)) for _ in range(k)]
+
+    directed, undirected = pairs(rng.randrange(1, 4)), pairs(rng.randrange(1, 4))
+    if rng.random() < 0.8:
+        directed.append(directed[0][::-1])
+    if rng.random() < 0.6:
+        undirected.append(undirected[0])
+    for edges in (directed, undirected):
+        if rng.random() < 0.6:
+            edges.append((rng.randrange(n),) * 2)
+    return MixedGraph(n, directed, undirected)
+
+
+@pytest.mark.parametrize("fail", ["both", "directed", "undirected"])
+def test_reduction_shapes_vs_oracle(rng, fail):
+    # antiparallel pairs stay split and loops are split or dropped; the
+    # directed mode's paths through a fresh vertex keep parallel
+    # undirected edges apart, where a twin pair straight between the ends
+    # would not
+    for _ in range(150):
+        g = _shaped_mixed(rng)
+        assert edge_resilient_blocks(g, fail) == oracles.oracle_edge_resilient(g, fail), (
+            g.directed,
+            g.undirected,
+        )
+
+
 def test_unknown_failure_set_rejected():
     with pytest.raises(GraphError):
         edge_resilient_blocks(MixedGraph(1), fail="sideways")
@@ -159,8 +193,9 @@ def test_blocks_partition_all_vertices(rng):
 
 
 def test_edge_resilient_mid_size_vs_baseline():
-    # 500 edges: the gadget reduction makes biconnected blocks of a few
-    # hundred edges that hold many marked vertices
+    # 500 edges: the paper's gadget reduction makes biconnected blocks of a
+    # few hundred edges that hold many marked vertices; the smaller digraph
+    # edge_resilient_blocks analyses must give its answer
     g = oracles.gen_mixed(125, 250, 250, random.Random(1))
     red = split_and_gadget(g)
     want = red.ordinary_restriction(two_etscc_baseline(red.graph))
@@ -174,6 +209,26 @@ def test_restricted_failures_mid_size_vs_per_edge_reference(m):
     g = oracles.gen_mixed(m // 4, m // 2, m - m // 2, random.Random(m))
     for fail in ("directed", "undirected"):
         assert edge_resilient_blocks(g, fail) == edge_resilient_per_edge(g, fail), fail
+
+
+def _with_antiparallel(g: MixedGraph, rng: random.Random) -> MixedGraph:
+    """``g`` plus the reverses of a quarter of its directed edges."""
+    rev = [e[::-1] for e in rng.sample(g.directed, len(g.directed) // 4)]
+    return MixedGraph(g.n, list(g.directed) + rev, g.undirected)
+
+
+@pytest.mark.parametrize(
+    "fail, m", [("both", 300), ("directed", 300), ("undirected", 300), ("directed", 1000)]
+)
+def test_edge_resilient_mid_size_vs_per_edge_reference(fail, m):
+    # n = m/2 leaves both large blocks and many small ones; the reference
+    # makes one tscc pass per failing edge of the paper's gadget reduction
+    rng = random.Random(m)
+    g = _decorated(oracles.gen_mixed(m // 2, m // 2, m - m // 2, rng), rng)
+    g = _with_antiparallel(g, rng)
+    want = edge_resilient_per_edge(g, fail)
+    assert edge_resilient_blocks(g, fail) == want
+    assert 1 < len(want.blocks) < g.n and max(map(len, want.blocks)) > 1
 
 
 @pytest.mark.parametrize("fail", ["both", "directed", "undirected"])
@@ -191,9 +246,38 @@ def test_edge_resilient_budget_1000_edges(fail):
 def test_each_failure_mode_is_one_two_etscc_call(calls, fail):
     calls.watch("two_etscc", orientation)
     calls.watch("scc", orientation)
+    calls.watch("split_and_gadget", orientation)
     g = oracles.gen_mixed(10, 10, 10, random.Random(2))
     edge_resilient_blocks(g, fail)
-    assert calls == {"two_etscc": 1, "scc": 0}
+    assert calls == {"two_etscc": 1, "scc": 0, "split_and_gadget": 0}
+
+
+@pytest.mark.parametrize("fail", ["both", "directed", "undirected"])
+def test_reduced_edge_count_follows_the_rule(monkeypatch, fail):
+    # counts work: a directed edge is split only when its reverse is a
+    # directed edge (a loop is its own), and loops are dropped where no
+    # directed edge fails
+    rng = random.Random(3)
+    g = _with_antiparallel(_decorated(oracles.gen_mixed(50, 100, 100, rng), rng), rng)
+    reduced = []
+
+    def two_etscc_recording(d):
+        reduced.append(d)
+        return pipeline.two_etscc(d)
+
+    monkeypatch.setattr(orientation, "two_etscc", two_etscc_recording)
+    edge_resilient_blocks(g, fail)
+    (d,) = reduced
+    directed = set(g.directed)
+    loops = sum(x == y for x, y in g.directed)
+    split = sum((y, x) in directed for x, y in g.directed if x != y or fail != "undirected")
+    n_d, n_u = len(g.directed), len(g.undirected)
+    assert d.m == {
+        "both": n_d + split + 7 * n_u,
+        "directed": n_d + split + 8 * n_u,
+        "undirected": 2 * (n_d - loops + split) + 13 * n_u,
+    }[fail]
+    assert loops > 0 and split > loops
 
 
 _S_KINDS = (auxiliary.KIND_S_SR, auxiliary.KIND_S_RR)
