@@ -1,8 +1,10 @@
 """Orientation blocks of mixed graphs.
 
-Strongly orientable blocks are computed on the mixed graph itself: one SCC
-pass and one 2ecc pass (see ``strongly_orientable_blocks``).  That is what
-the TSCCs of the split-and-twin reduction below give on the original
+Strongly orientable blocks are computed without a reduction: one SCC pass
+on the directed edges between the classes that undirected edges join, and
+one 2ecc pass on the undirected edges between the classes that directed
+edges inside an SCC join (see ``strongly_orientable_blocks``).  That is
+what the TSCCs of the split-and-twin reduction below give on the original
 vertices; ``split_and_twin`` stays as that reference.
 
 Splitting a directed edge (x, y) replaces it by (x, z), (z, y) through a
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import DiGraph, GraphError, MixedGraph, Partition, UGraph
+from .graph import DiGraph, GraphError, MixedGraph, Partition, UGraph, _find, _union
 from .strong import scc
 from .undirected import bridges_2ecc
 from .pipeline import two_etscc
@@ -84,30 +86,56 @@ def split_and_gadget(g: MixedGraph) -> ReducedGraph:
     return ReducedGraph(DiGraph._trusted(nxt, tuple(edges)), g.n, split, tuple(critical))
 
 
+def _classes(n: int, pairs) -> tuple[list[int], int]:
+    """The class of each vertex when ``pairs`` join their ends, numbered
+    0, 1, ... by smallest member, and the number of classes."""
+    parent = list(range(n))
+    for x, y in pairs:
+        _union(parent, x, y)
+    dense: dict[int, int] = {}
+    return [dense.setdefault(_find(parent, v), len(dense)) for v in range(n)], len(dense)
+
+
 def strongly_orientable_blocks(g: MixedGraph) -> Partition:
     """Maximal vertex sets strongly connected under some orientation.
 
     Computed on ``g`` itself, without a reduction.  Let D be the directed
     edges plus both orientations of every undirected edge, and H the
     undirected multigraph of all edges of ``g`` whose ends share an SCC
-    of D (its self-loops are ignored).  The blocks are the 2ecc blocks of H: a mixed multigraph
-    is strongly orientable iff it is strongly connected and no undirected
-    edge is a bridge (Boesch & Tindell, 1980), and a directed edge inside
-    an SCC is never a bridge of H.  This is what the TSCCs of
-    ``split_and_twin`` give on the original vertices.  The SCCs of that
-    reduction there are those of D.  Each SCC's underlying simple graph
-    is a subdivision of H's part in it: a split directed edge is a path
-    through a vertex of degree 2, and a twin pair collapses into one edge
-    (a split self-loop only adds a pendant vertex).  A subdivision keeps
-    the 2-edge-connected classes of the original vertices.  Parallel
-    undirected copies, which can be oriented oppositely, are parallel
-    edges of H and so never bridges.
+    of D (its self-loops are ignored).  The blocks are the 2ecc blocks of
+    H: a mixed multigraph is strongly orientable iff it is strongly
+    connected and no undirected edge is a bridge (Boesch & Tindell, 1980),
+    and a directed edge inside an SCC is never a bridge of H.  This is
+    what the TSCCs of ``split_and_twin`` give on the original vertices.
+    The SCCs of that reduction there are those of D.  Each SCC's
+    underlying simple graph is a subdivision of H's part in it: a split
+    directed edge is a path through a vertex of degree 2, and a twin pair
+    collapses into one edge (a split self-loop only adds a pendant
+    vertex).  A subdivision keeps the 2-edge-connected classes of the
+    original vertices.  Parallel undirected copies, which can be oriented
+    oppositely, are parallel edges of H and so never bridges.
+
+    Neither D nor H is built; each pass runs on a contracted graph.
+    (1) Each undirected edge is a 2-cycle of D, so each class of vertices
+    joined by undirected edges is strongly connected in D.  Contracting a
+    strongly connected set keeps the SCCs, so the one ``scc`` pass runs on
+    the classes and the directed edges between them.  Every undirected
+    edge then lies inside an SCC.  (2) A directed edge (x, y) whose ends
+    share an SCC has a simple path from y to x in D, which is a path of H
+    avoiding (x, y): the edge lies on a cycle of H.  Contracting an edge e
+    on a cycle keeps the bridges: a cycle of H/e through an edge f other
+    than e lifts to a cycle of H through f, or to a path between e's ends
+    that closes one with e.  The 2ecc classes are the components without
+    the bridges, so they lift too.  After contracting every such edge, H
+    is the undirected edges between the new classes, loops dropped.
     """
-    und = g.undirected
-    both = g.directed + und + tuple((b, a) for a, b in und)
-    comp = scc(DiGraph._trusted(g.n, both)).comp_of
-    h = tuple(e for e in g.directed + und if comp[e[0]] == comp[e[1]])
-    return bridges_2ecc(UGraph._trusted(g.n, h))[1]
+    ucls, k = _classes(g.n, g.undirected)
+    comp = scc(DiGraph._trusted(k, tuple((ucls[x], ucls[y]) for x, y in g.directed))).comp_of
+    inner = (e for e in g.directed if comp[ucls[e[0]]] == comp[ucls[e[1]]])
+    cls, k = _classes(g.n, inner)
+    h = tuple((cls[x], cls[y]) for x, y in g.undirected if cls[x] != cls[y])
+    block = bridges_2ecc(UGraph._trusted(k, h))[1].block_index()
+    return Partition._grouped(enumerate(block[c] for c in cls))
 
 
 def _resilient_reduction(g: MixedGraph, fail: str) -> DiGraph:
@@ -122,12 +150,12 @@ def _resilient_reduction(g: MixedGraph, fail: str) -> DiGraph:
             nxt += 1
     for x, y in g.undirected:
         z, u, v = nxt, nxt + 1, nxt + 2
-        gadget = ((x, z), (z, x), (z, u), (u, v), (v, y), (y, u), (v, z))
         if fail == "directed":  # the path x, z, y in place of the gadget
             edges += ((x, z), (z, x), (z, y), (y, z)) * 2
-        else:  # "undirected" doubles all but the critical edge (u, v)
-            edges += gadget if fail == "both" else gadget + gadget[:3] + gadget[4:]
-        nxt += 1 if fail == "directed" else 3
+            nxt += 1
+        else:
+            edges += ((x, z), (z, x), (z, u), (u, v), (v, y), (y, u), (v, z))
+            nxt += 3
     # endpoints from the checked ``g`` and fresh ids
     return DiGraph._trusted(nxt, tuple(edges))
 
@@ -154,9 +182,19 @@ def edge_resilient_blocks(g: MixedGraph, fail: str = "both") -> Partition:
     (the edge x-z on a 2-edge-connected piece z, u, v, y), it joins x and
     y both ways and acts as the edge x-y in the simple underlying graph.  A
     fresh w per edge keeps parallel undirected edges from becoming twins.
+    (d) A non-critical gadget edge that may not fail need not be doubled
+    when the critical edge (u, v) of its gadget may fail.  Deleting one
+    only fixes the orientation of {x, y}: without (x, z), (z, u) or (v, y)
+    the gadget joins y to x only, and without (z, x), (y, u) or (v, z) it
+    joins x to y only.  Deleting (u, v) leaves u without an out-edge and v
+    without an in-edge, and z hangs on x by a twin pair, which splits no
+    2ecc class: on the original vertices it acts as deleting the whole
+    gadget.  The graph minus any other gadget edge contains that graph,
+    and adding edges never splits a TSCC, so fixing an orientation refines
+    no more than deleting (u, v) does.
     "both" uses (b); "directed" uses (b) and (c); "undirected" uses (a) and
-    (b) on doubled directed edges and drops directed loops, whose doubled
-    split only hangs a fresh vertex on x.
+    (b) on doubled directed edges, (d) on the plain gadget, and drops
+    directed loops, whose doubled split only hangs a fresh vertex on x.
     """
     if fail not in ("both", "directed", "undirected"):
         raise GraphError(f"unknown failure set {fail!r}")

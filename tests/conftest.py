@@ -14,21 +14,25 @@ def rng() -> random.Random:
 
 
 class CallCounter(dict):
-    """Call counts by function name; ``watch`` starts counting one."""
+    """Call counts by function name; ``watch`` starts counting one.
+    ``args[name]`` holds the positional arguments of each call, in order."""
 
     def __init__(self, monkeypatch: pytest.MonkeyPatch):
         super().__init__()
         self._monkeypatch = monkeypatch
+        self.args: dict[str, list[tuple]] = {}
 
     def watch(self, name: str, *modules) -> None:
         """Count the calls of ``name`` made through each of ``modules``."""
         self.setdefault(name, 0)
+        self.args.setdefault(name, [])
         for mod in modules:
             self._monkeypatch.setattr(mod, name, self._counted(name, getattr(mod, name)))
 
     def _counted(self, name, fn):
         def wrapper(*args, **kwargs):
             self[name] += 1
+            self.args[name].append(args)
             return fn(*args, **kwargs)
 
         return wrapper

@@ -9,7 +9,7 @@ import pytest
 
 from twinscc import auxiliary, orientation, pipeline
 from twinscc.dominators import strong_bridges
-from twinscc.graph import GraphError, MixedGraph, Partition, refines
+from twinscc.graph import GraphError, MixedGraph, Partition, UGraph, refines
 from twinscc.orientation import (
     edge_resilient_blocks,
     split_and_gadget,
@@ -18,6 +18,7 @@ from twinscc.orientation import (
 )
 from twinscc.pipeline import two_escc, two_etscc, two_etscc_baseline
 from twinscc.strong import _scc_parts, _tscc_graphs, scc
+from twinscc.undirected import connected_components
 from twinscc import oracles
 
 from orientable_reference import orientable_by_reduction
@@ -204,11 +205,15 @@ def test_edge_resilient_mid_size_vs_baseline():
 
 @pytest.mark.parametrize("m", [100, 300])
 def test_restricted_failures_mid_size_vs_per_edge_reference(m):
-    # n = m/4 and half the edges undirected, as `twinscc gen --model mixed`
-    # makes them; the brute-force oracle stops at about 12 edges
-    g = oracles.gen_mixed(m // 4, m // 2, m - m // 2, random.Random(m))
+    # n = m/2, decorated and with antiparallel pairs, so every answer has
+    # several blocks; the brute-force oracle stops at about 12 edges
+    rng = random.Random(m + 1)
+    g = _decorated(oracles.gen_mixed(m // 2, m // 2, m - m // 2, rng), rng)
+    g = _with_antiparallel(g, rng)
     for fail in ("directed", "undirected"):
-        assert edge_resilient_blocks(g, fail) == edge_resilient_per_edge(g, fail), fail
+        want = edge_resilient_per_edge(g, fail)
+        assert edge_resilient_blocks(g, fail) == want, fail
+        assert 1 < len(want.blocks) < g.n, fail
 
 
 def _with_antiparallel(g: MixedGraph, rng: random.Random) -> MixedGraph:
@@ -275,7 +280,7 @@ def test_reduced_edge_count_follows_the_rule(monkeypatch, fail):
     assert d.m == {
         "both": n_d + split + 7 * n_u,
         "directed": n_d + split + 8 * n_u,
-        "undirected": 2 * (n_d - loops + split) + 13 * n_u,
+        "undirected": 2 * (n_d - loops + split) + 7 * n_u,
     }[fail]
     assert loops > 0 and split > loops
 
@@ -403,6 +408,78 @@ def test_orientable_blocks_mid_size_vs_reduction(m):
         sizes.append(len(want))
     # whole graphs, all singletons, and graphs in between all occur
     assert 1 in sizes and m in sizes and any(1 < k < m // 2 for k in sizes)
+
+
+def _directed_cycle(n: int, rng: random.Random) -> MixedGraph:
+    """A directed n-cycle with n/5 random undirected chords."""
+    chords = [(rng.randrange(n), rng.randrange(n)) for _ in range(n // 5)]
+    return MixedGraph(n, [(v, (v + 1) % n) for v in range(n)], chords)
+
+
+def _chained(pieces: list[MixedGraph], kinds: str, rng: random.Random) -> MixedGraph:
+    """Disjoint union of ``pieces`` in which piece i reaches piece i + 1 by
+    one edge between random vertices: directed if ``kinds[i % len(kinds)]``
+    is "d", undirected if it is "u"."""
+    directed, undirected, starts = [], [], [0]
+    for p in pieces:
+        n = starts[-1]
+        directed += [(n + a, n + b) for a, b in p.directed]
+        undirected += [(n + a, n + b) for a, b in p.undirected]
+        starts.append(n + p.n)
+    for i in range(len(pieces) - 1):
+        tie = (rng.randrange(starts[i], starts[i + 1]), rng.randrange(starts[i + 1], starts[i + 2]))
+        (directed if kinds[i % len(kinds)] == "d" else undirected).append(tie)
+    return MixedGraph(starts[-1], directed, undirected)
+
+
+def _beside_and_against(rng: random.Random) -> MixedGraph:
+    """An undirected random tree on 3,000 vertices; a third of its edges
+    {x, y} gain a directed (x, y) beside them, a third a directed (y, x)."""
+    tree = [(v, rng.randrange(v)) for v in range(1, 3000)]
+    directed = [e if rng.random() < 0.5 else e[::-1] for e in tree if rng.random() < 2 / 3]
+    return MixedGraph(3000, directed, tree)
+
+
+_CONTRACTION_SHAPES = {
+    # many SCCs: the directed edges between them must stay uncontracted
+    "cycle-chain": lambda rng: _chained([_directed_cycle(30, rng) for _ in range(60)], "d", rng),
+    # one SCC: the undirected edges between the cycles must stay bridges
+    "tied-cycles": lambda rng: _chained([_directed_cycle(30, rng) for _ in range(60)], "u", rng),
+    # a directed edge contracted beside an undirected one leaves it a loop
+    "beside-and-against": _beside_and_against,
+    "mostly-directed": lambda rng: _chained(
+        [oracles.gen_mixed(250, 900, 100, rng) for _ in range(4)], "du", rng
+    ),
+    "mostly-undirected": lambda rng: _chained(
+        [oracles.gen_mixed(500, 100, 900, rng) for _ in range(4)], "du", rng
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_CONTRACTION_SHAPES))
+def test_orientable_blocks_contraction_shapes_vs_reduction(shape):
+    # 10^3 to 10^4 edges where each contraction of strongly_orientable_blocks
+    # could join what must stay apart
+    g = _CONTRACTION_SHAPES[shape](random.Random(6))
+    want = orientable_by_reduction(g)
+    assert strongly_orientable_blocks(g) == want
+    assert 1_000 <= len(g.directed) + len(g.undirected) <= 10_000
+    assert len(want) < g.n and sum(len(b) >= 3 for b in want) >= 3
+
+
+def test_orientable_blocks_work_on_contracted_graphs(calls):
+    # counts work: one scc pass over the directed edges between the classes
+    # of undirected edges, one bridge pass over at most the undirected edges
+    rng = random.Random(5)
+    g = _with_antiparallel(_decorated(oracles.gen_mixed(1000, 2000, 2000, rng), rng), rng)
+    calls.watch("scc", orientation)
+    calls.watch("bridges_2ecc", orientation)
+    strongly_orientable_blocks(g)
+    assert calls == {"scc": 1, "bridges_2ecc": 1}
+    ((d,),), ((h,),) = calls.args["scc"], calls.args["bridges_2ecc"]
+    classes = connected_components(UGraph(g.n, g.undirected))
+    assert d.m == len(g.directed) and d.n <= len(classes) < g.n
+    assert h.m <= len(g.undirected)
 
 
 @pytest.mark.parametrize("reduce", [split_and_twin, split_and_gadget])

@@ -265,6 +265,55 @@ def test_mveb_mid_size_vs_reference():
         assert marked_veb(g, marked) == marked_veb_per_vertex(g, marked), (trial, g.m)
 
 
+@pytest.mark.parametrize("doubled", [False, True])
+def test_mveb_long_cycle_many_marked_vs_reference(doubled):
+    # one S-node of 1,200 vertices, every fifth marked; with 60% of its
+    # edges doubled (P-nodes on the cycle), the runs they join stay whole
+    # between marked vertices and single edges
+    n, rng = 1200, random.Random(7)
+    cycle = [(i, (i + 1) % n) for i in range(n)]
+    g = UGraph(n, cycle + [e for e in cycle if doubled and rng.random() < 0.6])
+    marked = list(range(0, n, 5))
+    want = marked_veb_per_vertex(g, marked)
+    assert marked_veb(g, marked) == want
+    assert (sum(len(b) >= 3 for b in want) >= 3) == doubled
+
+
+def _subdivided_core(rng: random.Random, k: int, length: int) -> UGraph:
+    """The wheel with k rim vertices (3-connected: one R-node) with each
+    edge replaced by a path of 1 to ``length`` edges (an S-node under it).
+    A tenth of the path edges gain a parallel copy (a P-node), and a tenth
+    become an edge of a K4 (an R-node under the S-node)."""
+    core = [(0, i) for i in range(1, k + 1)] + [(i, i % k + 1) for i in range(1, k + 1)]
+    n, edges = k + 1, []
+    for a, b in core:
+        path = [a, *range(n, n + rng.randrange(length)), b]
+        n += len(path) - 2
+        for x, y in zip(path, path[1:]):
+            edges.append((x, y))
+            r = rng.random()
+            if r < 0.1:
+                edges.append((x, y))
+            elif r < 0.2:
+                edges += [(x, n), (x, n + 1), (n, n + 1), (n, y), (n + 1, y)]
+                n += 2
+    return UGraph(n, edges)
+
+
+def test_mveb_s_nodes_under_r_nodes_vs_reference():
+    # one block of about 3,000 edges: S-nodes hang under the wheel's R-node
+    # and R-nodes under them; an eighth of the vertices are marked, and so
+    # are the hub and every fourth rim vertex
+    rng = random.Random(8)
+    g = _subdivided_core(rng, 40, 40)
+    marked = sorted(set(rng.sample(range(g.n), g.n // 8)).union(range(0, 41, 4)))
+    want = marked_veb_per_vertex(g, marked)
+    assert marked_veb(g, marked) == want
+    assert 1_000 <= g.m <= 10_000 and sum(len(b) >= 3 for b in want) >= 3
+    kinds = [nd.kind for nd in spqr(g).nodes]
+    assert kinds.count("R") > 1 and kinds.count("S") > 1
+
+
 def test_mveb_bridgey_pipeline_calls_vs_reference(monkeypatch):
     # the graphs partition_strong_bridges hands to marked_veb on bridgey
     calls: list[tuple[UGraph, list[int]]] = []
