@@ -9,8 +9,9 @@ All types are immutable after construction and safe to share across
 threads.  Adjacency structures are built lazily and cached, as flat CSR
 arrays (``_csr``).  The graph kernels every layer shares sit next to them:
 one iterative depth-first search over CSR arrays (``_dfs``), which every
-graph search except Tarjan's ``scc`` and the SPQR path search runs on, and
-one union-find (``_find``/``_union``).  CSR arrays are built from flat
+graph search runs on except Tarjan's ``scc`` and the SPQR builder's path
+finder and path search (its first DFS is the one ``biconnected`` runs),
+and one union-find (``_find``/``_union``).  CSR arrays are built from flat
 integer arrays or other CSRs (``_underlying_csr``), never from tuples.
 
 Public constructors check their input: every endpoint must be in range.

@@ -5,9 +5,12 @@ multigraph into its triconnected components in linear time: parallel
 bundles first, then Hopcroft & Tarjan's path search ("Dividing a graph
 into triconnected components", SIAM J. Comput. 1973) with the corrections
 of Gutwenger & Mutzel ("A linear time implementation of SPQR-trees",
-GD 2000), then adjacent bonds and adjacent polygons are merged.  Every
-traversal keeps its own stacks, so nothing recurses.  ``spqr`` wraps the
-result as an ``SpqrTree``.
+GD 2000), then adjacent bonds and adjacent polygons are merged.  Its
+palm tree is the depth-first forest ``biconnected`` already ran, read per
+block by ``_block_components``, the one way ``spqr`` and ``marked_veb``
+reach the builder; only the path finder and the path search keep their
+own stacks, so nothing recurses.  ``spqr`` wraps the result as an
+``SpqrTree``.
 
 A vertex-edge cut pair (v, e) always shows up as an S-node whose skeleton
 contains v and the real edge e, with v not an end of e.  ``marked_veb``
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .graph import Partition, PreconditionError, UGraph, _find, _union
-from .undirected import biconnected
+from .undirected import _biconnected
 
 Tag = tuple[str, int]  # ("real", edge id) | ("virtual", pair id)
 
@@ -51,130 +54,93 @@ _EOS = (0, -1, 0)
 def _triconnected_components(
     n: int, src: list[int], dst: list[int]
 ) -> tuple[list[str], list[list[int]], list[int], list[int]]:
-    """SPQR nodes of a biconnected multigraph on vertices 0..n-1.
-
-    Edge e joins ``src[e]`` and ``dst[e]`` (no self-loops; every vertex is
-    on an edge).  The two lists are taken over: they come back extended by
-    the virtual edges.  Returns ``(kinds, members, src, dst)``: node i has
-    kind ``kinds[i]`` ("S", "P", "R", or "Q" for a lone edge) and skeleton
-    edges ``members[i]``.  Edge ids below the input edge count are input
-    edges; larger ids are virtual edges, each in exactly two skeletons.
-    Linear time, no recursion.
+    """SPQR nodes of a biconnected multigraph on vertices 0..n-1, given as a
+    palm tree: vertex i is the i-th in the preorder of a depth-first tree,
+    and edge e runs from ``src[e]`` to ``dst[e]``, down to a child if
+    ``src[e] < dst[e]`` (a tree arc) and else up to an ancestor (a frond;
+    parallel copies of a tree arc are fronds).  No self-loops; every vertex
+    is on an edge.  The two lists are taken over: they come back extended
+    by the virtual edges.  Returns ``(kinds, members, src, dst)``: node i
+    has kind ``kinds[i]`` ("S", "P", "R", or "Q" for a lone edge) and
+    skeleton edges ``members[i]``.  Edge ids below the input edge count are
+    input edges; larger ids are virtual edges, each in exactly two
+    skeletons.  Linear time, no recursion.
     """
     m0 = len(src)
     if n == 2:
         return ["P" if m0 >= 2 else "Q"], [list(range(m0))], src, dst
     kinds: list[str] = []
     members: list[list[int]] = []
-    etype = [0] * m0
-    inc: list[list[int]] = [[] for _ in range(n)]
-    for e in range(m0):
-        inc[src[e]].append(e)
-        inc[dst[e]].append(e)
 
-    # Parallel bundles become bonds; one virtual edge stands in for each.
-    # seen[b] == a: an a-b edge was met while scanning a, first[b] is the
-    # first one and bond[b] the index of the a-b bond (or -1).
-    seen = [-1] * n
-    first = [0] * n
-    bond = [0] * n
-    for a in range(n):
-        made = []
-        for e in inc[a]:
-            b = src[e] + dst[e] - a
-            if b < a:
-                continue
-            if seen[b] != a:
-                seen[b], first[b], bond[b] = a, e, -1
-            elif bond[b] < 0:
-                bond[b] = len(members)
-                members.append([first[b], e])
-                kinds.append("P")
-                made.append(b)
-            else:
-                members[bond[b]].append(e)
-        for b in made:
-            group = members[bond[b]]
+    # Parallel bundles become bonds; one virtual edge stands in for each,
+    # a tree arc if one of its copies is.
+    etype = [_TREE if src[e] < dst[e] else _FROND for e in range(m0)]
+    bundles: dict[int, list[int]] = {}
+    for e in range(m0):
+        a, b = src[e], dst[e]
+        bundles.setdefault(a * n + b if a < b else b * n + a, []).append(e)
+    for key, group in bundles.items():
+        if len(group) > 1:
+            a, b = divmod(key, n)
+            t = _TREE if any(etype[e] == _TREE for e in group) else _FROND
             for e in group:
                 etype[e] = _REMOVED
-            f = len(src)
-            group.append(f)
-            src.append(a)
-            dst.append(b)
-            etype.append(0)
-            inc[a].append(f)
-            inc[b].append(f)
-    del seen, first, bond
+            group.append(len(src))
+            src.append(a if t == _TREE else b)
+            dst.append(b if t == _TREE else a)
+            etype.append(t)
+            kinds.append("P")
+            members.append(group)
+    del bundles
     m_all = len(src)
 
-    # DFS 1: numbers, low points, subtree sizes, tree arcs and fronds.
-    number = [0] * n
-    low1 = [0] * n
-    low2 = [0] * n
+    # Degrees, tree parents, and low points and subtree sizes in one
+    # reverse-preorder sweep.  A vertex is its own preorder number.
+    low1 = list(range(n))
+    low2 = list(range(n))
     nd = [1] * n
     parent = [-1] * n
     tree_arc = [-1] * n
     deg = [0] * n
     kids = [0] * n
-    ptr = [0] * n
-    number[0] = low1[0] = low2[0] = count = 1
-    stack = [0]
-    while stack:
-        v = stack[-1]
-        lst = inc[v]
-        i = ptr[v]
-        while i < len(lst):
-            e = lst[i]
-            i += 1
-            if etype[e]:
-                continue
-            w = dst[e] if src[e] == v else src[e]
-            deg[v] += 1
-            deg[w] += 1
-            if not number[w]:
-                etype[e] = _TREE
-                src[e], dst[e] = v, w
-                tree_arc[w] = e
-                parent[w] = v
-                kids[v] += 1
-                count += 1
-                number[w] = low1[w] = low2[w] = count
-                ptr[v] = i
-                stack.append(w)
-                break
-            etype[e] = _FROND
-            src[e], dst[e] = v, w
-            nw = number[w]
-            if nw < low1[v]:
-                low2[v] = low1[v]
-                low1[v] = nw
-            elif nw > low1[v] and nw < low2[v]:
-                low2[v] = nw
+    for e in range(m_all):
+        t = etype[e]
+        if t == _REMOVED:
+            continue
+        v, w = src[e], dst[e]
+        deg[v] += 1
+        deg[w] += 1
+        if t == _TREE:
+            parent[w] = v
+            tree_arc[w] = e
+            kids[v] += 1
+        elif w < low1[v]:
+            low2[v] = low1[v]
+            low1[v] = w
+        elif low1[v] < w < low2[v]:
+            low2[v] = w
+    for v in range(n - 1, 0, -1):
+        p = parent[v]
+        if low1[v] < low1[p]:
+            low2[p] = min(low1[p], low2[v])
+            low1[p] = low1[v]
+        elif low1[v] == low1[p]:
+            low2[p] = min(low2[p], low2[v])
         else:
-            stack.pop()
-            if stack:
-                p = stack[-1]
-                if low1[v] < low1[p]:
-                    low2[p] = min(low1[p], low2[v])
-                    low1[p] = low1[v]
-                elif low1[v] == low1[p]:
-                    low2[p] = min(low2[p], low2[v])
-                else:
-                    low2[p] = min(low2[p], low1[v])
-                nd[p] += nd[v]
-    del inc, ptr
+            low2[p] = min(low2[p], low1[v])
+        nd[p] += nd[v]
 
     # Acceptable adjacency structure: arcs bucket-sorted by phi (each
     # bucket a linked list through bnext).
-    bhead = [-1] * (3 * n + 3)
+    bhead = [-1] * (3 * n)
     bnext = [-1] * m_all
     for e in range(m_all):
         t = etype[e]
         if t == _FROND:
-            phi = 3 * number[dst[e]] + 1
+            phi = 3 * dst[e] + 1
         elif t == _TREE:
             w = dst[e]
-            phi = 3 * low1[w] if low2[w] < number[src[e]] else 3 * low1[w] + 2
+            phi = 3 * low1[w] if low2[w] < src[e] else 3 * low1[w] + 2
         else:
             continue
         bnext[e] = bhead[phi]
@@ -186,7 +152,7 @@ def _triconnected_components(
             e = bnext[e]
     del bhead, bnext
 
-    # DFS 2 (path finder): path starts, the renumbering under which the
+    # Path finder: path starts, the renumbering under which the
     # first path visited from a vertex holds the highest numbers, and the
     # fronds entering each vertex in visiting order, as a doubly linked
     # list (hhead / hnext / hprev, owner hown) whose head gives high(v).
@@ -239,33 +205,22 @@ def _triconnected_components(
     del htail, ptr
 
     # From here on a vertex is its new number (1..n; 0 means none).
-    old2new = [0] * (n + 1)
-    for v in range(n):
-        old2new[number[v]] = newnum[v]
     orig = [0] * (n + 1)
-    L1 = [0] * (n + 1)
-    L2 = [0] * (n + 1)
-    ND = [0] * (n + 1)
-    PAR = [0] * (n + 1)
-    DEG = [0] * (n + 1)
-    TARC = [-1] * (n + 1)
-    outv = [0] * (n + 1)
-    ADJ: list[list[int]] = [[]] * (n + 1)
     for v in range(n):
-        x = newnum[v]
-        orig[x] = v
-        L1[x] = old2new[low1[v]]
-        L2[x] = old2new[low2[v]]
-        ND[x] = nd[v]
-        PAR[x] = newnum[parent[v]] if parent[v] >= 0 else 0
-        DEG[x] = deg[v]
-        TARC[x] = tree_arc[v]
-        outv[x] = kids[v]
-        ADJ[x] = adj[v]
-    for e in range(m_all):
-        src[e] = newnum[src[e]]
-        dst[e] = newnum[dst[e]]
-    del old2new, number, low1, low2, nd, parent, deg, tree_arc, kids, adj, newnum
+        orig[newnum[v]] = v
+    newnum.append(0)  # the root's parent -1 becomes 0
+    at = orig[1:]
+    L1 = [0] + [newnum[low1[v]] for v in at]
+    L2 = [0] + [newnum[low2[v]] for v in at]
+    ND = [0] + [nd[v] for v in at]
+    PAR = [0] + [newnum[parent[v]] for v in at]
+    DEG = [0] + [deg[v] for v in at]
+    TARC = [-1] + [tree_arc[v] for v in at]
+    outv = [0] + [kids[v] for v in at]
+    ADJ = [[]] + [adj[v] for v in at]
+    src[:] = [newnum[v] for v in src]
+    dst[:] = [newnum[v] for v in dst]
+    del low1, low2, nd, parent, deg, tree_arc, kids, adj, newnum, at
 
     # Adjacency lists keep their slots: a deleted arc leaves -1 behind and
     # in_adj[e] is the slot of e in ADJ[src[e]].
@@ -537,6 +492,31 @@ def _triconnected_components(
     return out_kinds, out_members, [orig[x] for x in src], [orig[x] for x in dst]
 
 
+def _block_components(
+    g: UGraph, blk: tuple[int, ...], dfs
+) -> tuple[list[str], list[list[int]], list[int], list[int]]:
+    """``_triconnected_components`` of the block of ``g`` with edge ids
+    ``blk``, on the palm tree that the depth-first forest ``dfs`` of
+    ``_biconnected`` gives it: restricted to one block, that forest is a
+    depth-first tree of the block.  Edge i < len(blk) is g's edge blk[i],
+    and ``src``/``dst`` come back in g's vertex ids."""
+    pre, _, _, parent_eid = dfs
+    gedges = g.edges
+    verts = sorted({v for e in blk for v in gedges[e]}, key=pre.__getitem__)
+    local = dict(zip(verts, range(len(verts))))
+    src, dst = [], []
+    for e in blk:
+        a, b = gedges[e]
+        if pre[a] > pre[b]:
+            a, b = b, a
+        if parent_eid[b] != e:  # a frond runs up, from the descendant
+            a, b = b, a
+        src.append(local[a])
+        dst.append(local[b])
+    kinds, members, src, dst = _triconnected_components(len(verts), src, dst)
+    return kinds, members, [verts[v] for v in src], [verts[v] for v in dst]
+
+
 def spqr(g: UGraph) -> SpqrTree:
     """SPQR tree of a connected biconnected multigraph.
 
@@ -547,22 +527,18 @@ def spqr(g: UGraph) -> SpqrTree:
     """
     if g.n < 2 or g.m == 0:
         raise PreconditionError("spqr requires at least one edge on two vertices")
-    bf = biconnected(g)
-    eids = [eid for eid, (u, v) in enumerate(g.edges) if u != v]
-    if len(bf.blocks) != 1 or len(bf.blocks[0]) != len(eids):
+    bf, dfs = _biconnected(g)
+    if len(bf.blocks) != 1 or len(bf.blocks[0]) != sum(u != v for u, v in g.edges):
         raise PreconditionError("spqr requires a biconnected graph")
-    verts = sorted({v for eid in eids for v in g.edges[eid]})
-    local = {v: i for i, v in enumerate(verts)}
-    kinds, members, src, dst = _triconnected_components(
-        len(verts), [local[g.edges[e][0]] for e in eids], [local[g.edges[e][1]] for e in eids]
-    )
-    m0 = len(eids)
+    blk = bf.blocks[0]
+    kinds, members, src, dst = _block_components(g, blk, dfs)
+    m0 = len(blk)
 
     def key_edge(e: int) -> tuple[int, int, str, int]:
-        a, b = verts[src[e]], verts[dst[e]]
+        a, b = src[e], dst[e]
         if a > b:
             a, b = b, a
-        return (a, b, "real", eids[e]) if e < m0 else (a, b, "virtual", -1)
+        return (a, b, "real", blk[e]) if e < m0 else (a, b, "virtual", -1)
 
     keyed = []
     for kind, comp in zip(kinds, members):
@@ -595,7 +571,9 @@ def marked_veb(g: UGraph, marked: Iterable[int]) -> Partition:
     every marked vertex v and every edge e.
 
     Marked vertices must not be articulation points of their component.
-    Blocks without marked vertices keep their unmarked vertices together.
+    Blocks without marked vertices keep their unmarked vertices together,
+    except a bridge (a one-edge block) when any vertex is marked: deleting
+    it with that vertex separates its ends.
     In every other biconnected block B, (v, e) separates B iff v and the
     real edge e lie on one S-node cycle of B's SPQR tree, with v not an
     end of e.  Call an S-node active when its cycle holds a marked vertex
@@ -609,7 +587,7 @@ def marked_veb(g: UGraph, marked: Iterable[int]) -> Partition:
     for v in marked_set:
         if not 0 <= v < g.n:
             raise PreconditionError(f"marked vertex {v} out of range")
-    bf = biconnected(g)
+    bf, dfs = _biconnected(g)
     bad = marked_set & set(bf.articulation)
     if bad:
         raise PreconditionError(f"marked vertices {sorted(bad)} are articulation points")
@@ -620,38 +598,31 @@ def marked_veb(g: UGraph, marked: Iterable[int]) -> Partition:
     # elements: the vertices, then one per virtual edge of each block
     parent = list(range(g.n))
     gedges = g.edges
-    local = [0] * g.n
     for blk in bf.blocks:
-        verts = sorted({v for eid in blk for v in gedges[eid]})
-        unmarked = [v for v in verts if not is_marked[v]]
-        if len(unmarked) == len(verts):
-            for v in unmarked[1:]:
-                _union(parent, unmarked[0], v)
+        if len(blk) == 1 and marked_set:
             continue
-        for i, v in enumerate(verts):
-            local[v] = i
-        kinds, members, src, dst = _triconnected_components(
-            len(verts),
-            [local[gedges[e][0]] for e in blk],
-            [local[gedges[e][1]] for e in blk],
-        )
+        if not any(is_marked[v] for eid in blk for v in gedges[eid]):
+            for eid in blk:
+                _union(parent, *gedges[eid])
+            continue
+        kinds, members, src, dst = _block_components(g, blk, dfs)
         m0 = len(blk)
         base = len(parent) - m0
         parent.extend(range(len(parent), base + len(src)))
         for kind, comp in zip(kinds, members):
             active = kind == "S" and any(e < m0 for e in comp) and any(
-                is_marked[verts[src[e]]] or is_marked[verts[dst[e]]] for e in comp
+                is_marked[src[e]] or is_marked[dst[e]] for e in comp
             )
             if active:
                 for e in comp:
                     if e >= m0:
-                        for x in (verts[src[e]], verts[dst[e]]):
+                        for x in (src[e], dst[e]):
                             if not is_marked[x]:
                                 _union(parent, base + e, x)
                 continue
             rep = -1
             for e in comp:
-                for x in (verts[src[e]], verts[dst[e]]):
+                for x in (src[e], dst[e]):
                     if not is_marked[x]:
                         if rep < 0:
                             rep = x

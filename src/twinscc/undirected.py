@@ -95,8 +95,15 @@ def biconnected(g: UGraph) -> BlockForest:
     otherwise joins its parent's tree-edge block.  Every edge belongs to
     the block of the tree edge into its deeper end.
     """
+    return _biconnected(g)[0]
+
+
+def _biconnected(g: UGraph):
+    """``biconnected`` and the DFS forest it read (as ``graph._dfs`` returns
+    it); restricted to one block, that forest is a DFS tree of the block."""
     n = g.n
-    (pre, order, parent, _), low = _low_points(n, *g.csr())
+    dfs, low = _low_points(n, *g.csr())
+    pre, order, parent, _ = dfs
     block_of = [-1] * n
     nblocks = 0
     artic: set[int] = set()
@@ -119,7 +126,7 @@ def biconnected(g: UGraph) -> BlockForest:
     for eid, (a, b) in enumerate(g.edges):
         if a != b:
             members[block_of[a] if pre[a] > pre[b] else block_of[b]].append(eid)
-    return BlockForest(tuple(sorted(map(tuple, members))), tuple(sorted(artic)))
+    return BlockForest(tuple(sorted(map(tuple, members))), tuple(sorted(artic))), dfs
 
 
 # ---------------------------------------------------------------------------

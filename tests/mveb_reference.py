@@ -4,8 +4,10 @@ The definition restricted to biconnected blocks: in every block B that
 holds marked vertices, the unmarked vertices of B are refined by the
 2-edge-connected components of B - v for each marked v in B (one
 ``bridges_2ecc`` pass each), and the pieces are glued across blocks at the
-(unmarked) articulation points.  Cost O(sum over B of m_B * |M_B|), so it
-stays usable at 10^2 to 10^4 edges, where the brute-force oracle does not.
+(unmarked) articulation points.  A bridge (a one-edge block) joins nothing
+once any vertex is marked: deleting it with that vertex splits its ends.
+Cost O(sum over B of m_B * |M_B|), so it stays usable at 10^2 to 10^4
+edges, where the brute-force oracle does not.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ def marked_veb_per_vertex(g: UGraph, marked: Iterable[int]) -> Partition:
         return x
 
     for blk in bf.blocks:
+        if len(blk) == 1 and marked_set:
+            continue
         verts = sorted({v for eid in blk for v in g.edges[eid]})
         unmarked = [v for v in verts if v not in marked_set]
         local = {v: i for i, v in enumerate(verts)}

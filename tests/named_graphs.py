@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 from twinscc.graph import DiGraph, UGraph
 
 
@@ -47,6 +49,27 @@ def shared_triangles_ugraph() -> UGraph:
     return UGraph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
 
 
+def subdivided_wheel(rng: random.Random, k: int, length: int) -> UGraph:
+    """The wheel with k rim vertices (3-connected: one R-node) with each
+    edge replaced by a path of 1 to ``length`` edges (an S-node under it).
+    A tenth of the path edges gain a parallel copy (a P-node), and a tenth
+    become an edge of a K4 (an R-node under the S-node)."""
+    core = [(0, i) for i in range(1, k + 1)] + [(i, i % k + 1) for i in range(1, k + 1)]
+    n, edges = k + 1, []
+    for a, b in core:
+        path = [a, *range(n, n + rng.randrange(length)), b]
+        n += len(path) - 2
+        for x, y in zip(path, path[1:]):
+            edges.append((x, y))
+            r = rng.random()
+            if r < 0.1:
+                edges.append((x, y))
+            elif r < 0.2:
+                edges += [(x, n), (x, n + 1), (n, n + 1), (n, y), (n + 1, y)]
+                n += 2
+    return UGraph(n, edges)
+
+
 __all__ = [
     "cyc3",
     "bik2",
@@ -56,4 +79,5 @@ __all__ = [
     "c4_ugraph",
     "k4_ugraph",
     "shared_triangles_ugraph",
+    "subdivided_wheel",
 ]

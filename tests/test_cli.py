@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import pathlib
+import random
 import re
 import time
 
@@ -11,6 +12,9 @@ import pytest
 
 from twinscc import dominators
 from twinscc.cli import _parser, main
+from twinscc.graph import UGraph
+
+from named_graphs import subdivided_wheel
 
 
 def _run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -325,11 +329,71 @@ def test_spqr_cli_300_rung_ladder(capsys, tmp_path):
     assert len(lines) == 2 * k - 3
 
 
+# the 12-cycle with every third edge doubled and edge (1, 2) tripled: one
+# S-node and five P-nodes; and the wheel of 40 rim vertices with its edges
+# subdivided, doubled and replaced by K4s, whose tree has many S, P and R
+# nodes.  Hashed before the SPQR builder moved onto biconnected's DFS tree
+_SPQR_CYCLE = [(i, (i + 1) % 12) for i in range(12)] + [(0, 1), (3, 4), (6, 7), (9, 10)]
+_SPQR_CYCLE += [(1, 2), (1, 2)]
+_SPQR_SHA256 = {
+    ("cycle", False): "97463c588df992e12690301371e38fa92a25cda56dffefd1cd80d3b14af66978",
+    ("cycle", True): "631819e385226b59b9e69d4aed2947c3547df5d0be163924ee4f3e6c17196b69",
+    ("wheel", False): "d11e67d6d984d5d5ff357039b14924578fa6a3a01d6ed0c55366f9aaf73e3c1b",
+    ("wheel", True): "72f96520b1e9dff0ba18e51013100242d1fcfa423cf390ad67c3d70667fcc0eb",
+}
+
+
+@pytest.mark.parametrize("shape, json_flag", sorted(_SPQR_SHA256))
+def test_spqr_output_is_pinned(capsys, tmp_path, shape, json_flag):
+    import hashlib
+
+    g = UGraph(12, _SPQR_CYCLE) if shape == "cycle" else subdivided_wheel(random.Random(8), 40, 40)
+    text = f"{g.n} {g.m}\n" + "".join(f"U {a} {b}\n" for a, b in g.edges)
+    p = tmp_path / f"{shape}.g"
+    p.write_text(text)
+    code, out, _ = _run(capsys, "spqr", "--in", str(p), *["--json"] * json_flag)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == _SPQR_SHA256[shape, json_flag]
+
+
 def test_mveb_cli(capsys, tmp_path):
     p = tmp_path / "c4.g"
     p.write_text("4 4\nU 0 1\nU 1 2\nU 2 3\nU 3 0\n")
     code, out, _ = _run(capsys, "mveb", "--in", str(p), "--marked", "0", "--check-oracle")
     assert code == 0 and out == "1\n2\n3\n"
+    # the path 1-0-3-2: deleting the bridge (0, 3) with the marked vertex 1
+    # separates its unmarked ends
+    p.write_text("4 3\nU 1 0\nU 0 3\nU 3 2\n")
+    assert _run(capsys, "mveb", "--in", str(p), "--marked", "1", "--check-oracle") == (
+        0, "0\n2\n3\n", "")
+
+
+def test_every_oracle_agrees_on_small_seeded_graphs(capsys, tmp_path):
+    # each subcommand with --check-oracle on 200 seeded graphs of at most 6
+    # vertices, 8 directed and 5 undirected edges, loops and parallel edges
+    # allowed: the fast path agrees with its oracle (0) or the input is
+    # outside its contract (4), never a mismatch (5) or an internal error
+    from twinscc.cli import _ANALYSES
+
+    rng = random.Random(23)
+    checked = [name for name, analysis in _ANALYSES.items() if analysis.agrees]
+    p = tmp_path / "g.txt"
+    for i in range(200):
+        n = rng.randrange(1, 7)
+        lines = [f"D {rng.randrange(n)} {rng.randrange(n)}" for _ in range(rng.randrange(9))]
+        lines = lines if i % 3 else []  # every third graph purely undirected
+        if i % 3 != 1:  # and every third one purely directed
+            lines += [f"U {rng.randrange(n)} {rng.randrange(n)}" for _ in range(rng.randrange(6))]
+        p.write_text(f"{n} {len(lines)}\n" + "".join(line + "\n" for line in lines))
+        marked = [str(v) for v in range(n) if rng.random() < 0.3]
+        extra = {
+            "dominators": ["--source", str(rng.randrange(n))],
+            "mveb": ["--marked", ",".join(marked)],
+            "resilient-blocks": ["--fail", rng.choice(["directed", "undirected", "both"])],
+        }
+        for name in checked:
+            argv = [name, "--in", str(p), "--check-oracle", *extra.get(name, [])]
+            code, _, err = _run(capsys, *argv)
+            assert code in (0, 4), (argv[4:], lines, err)
 
 
 def test_aux_dump(capsys, cyc3_file):

@@ -127,6 +127,32 @@ def test_every_private_switch_is_set_inside_the_library():
     assert switches - passed == set()
 
 
+def test_every_private_module_name_is_used():
+    # a private module-level function, class or constant that no code in
+    # the package reads is dead, and goes; importing it is not a use
+    trees = dict(_module_trees())
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    private = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            private.update((module, n) for n in names if n.startswith("_") and n[1] != "_")
+    assert len(private) > 20  # the walk sees the private names there are
+    assert {(module, n) for module, n in private if n not in used} == set()
+
+
 def test_every_public_name_resolves():
     # a name left in __all__ after its object is gone breaks
     # ``from twinscc import *``

@@ -11,12 +11,12 @@ import pytest
 from twinscc import pipeline
 from twinscc.graph import Partition, PreconditionError, UGraph
 from twinscc.spqr import marked_veb, spqr
-from twinscc.undirected import biconnected
+from twinscc.undirected import biconnected, bridges_2ecc
 from twinscc import oracles
 
 from mveb_reference import marked_veb_per_vertex
 
-from named_graphs import c4_ugraph, k4_ugraph
+from named_graphs import c4_ugraph, k4_ugraph, subdivided_wheel
 
 
 def test_spqr_c4_single_s_node():
@@ -105,6 +105,29 @@ def test_mveb_examples():
     assert marked_veb(c4_ugraph(), [0]) == Partition([[1], [2], [3]])
     assert marked_veb(k4_ugraph(), [0]) == Partition([[1, 2, 3]])
     assert marked_veb(c4_ugraph(), []) == Partition([[0, 1, 2, 3]])
+
+
+def test_mveb_bridges_and_loops_vs_oracle():
+    # a bridge joins nothing once any vertex is marked: deleting it with
+    # that vertex separates its ends, even when both ends are unmarked
+    g = UGraph(4, [(1, 0), (0, 3), (3, 2)])
+    assert marked_veb(g, [1]) == Partition([[0], [2], [3]])
+    assert marked_veb(g, []) == Partition([[0, 1, 2, 3]])
+    rng = random.Random(23)
+    bridged = 0
+    for _ in range(400):
+        n = rng.randrange(2, 9)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(1, 11))]
+        g = UGraph(n, edges)
+        arts = set(biconnected(g).articulation)
+        candidates = [v for v in range(n) if v not in arts]
+        rng.shuffle(candidates)
+        marked = candidates[: rng.randrange(len(candidates) + 1)]
+        bridged += bool(marked and bridges_2ecc(g)[0])
+        want = oracles.oracle_mveb(g, marked)
+        assert marked_veb(g, marked) == want, (edges, marked)
+        assert marked_veb_per_vertex(g, marked) == want, (edges, marked)
+    assert bridged >= 100
 
 
 def test_mveb_rejects_marked_articulation_point():
@@ -279,33 +302,12 @@ def test_mveb_long_cycle_many_marked_vs_reference(doubled):
     assert (sum(len(b) >= 3 for b in want) >= 3) == doubled
 
 
-def _subdivided_core(rng: random.Random, k: int, length: int) -> UGraph:
-    """The wheel with k rim vertices (3-connected: one R-node) with each
-    edge replaced by a path of 1 to ``length`` edges (an S-node under it).
-    A tenth of the path edges gain a parallel copy (a P-node), and a tenth
-    become an edge of a K4 (an R-node under the S-node)."""
-    core = [(0, i) for i in range(1, k + 1)] + [(i, i % k + 1) for i in range(1, k + 1)]
-    n, edges = k + 1, []
-    for a, b in core:
-        path = [a, *range(n, n + rng.randrange(length)), b]
-        n += len(path) - 2
-        for x, y in zip(path, path[1:]):
-            edges.append((x, y))
-            r = rng.random()
-            if r < 0.1:
-                edges.append((x, y))
-            elif r < 0.2:
-                edges += [(x, n), (x, n + 1), (n, n + 1), (n, y), (n + 1, y)]
-                n += 2
-    return UGraph(n, edges)
-
-
 def test_mveb_s_nodes_under_r_nodes_vs_reference():
     # one block of about 3,000 edges: S-nodes hang under the wheel's R-node
     # and R-nodes under them; an eighth of the vertices are marked, and so
     # are the hub and every fourth rim vertex
     rng = random.Random(8)
-    g = _subdivided_core(rng, 40, 40)
+    g = subdivided_wheel(rng, 40, 40)
     marked = sorted(set(rng.sample(range(g.n), g.n // 8)).union(range(0, 41, 4)))
     want = marked_veb_per_vertex(g, marked)
     assert marked_veb(g, marked) == want
