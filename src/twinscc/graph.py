@@ -11,7 +11,7 @@ arrays (``_csr``).  The graph kernels every layer shares sit next to them:
 one iterative depth-first search over CSR arrays (``_dfs``), which every
 graph search runs on except Tarjan's ``scc`` and the SPQR builder's path
 finder and path search (its first DFS is the one ``biconnected`` runs),
-and one union-find (``_find``/``_union``).  CSR arrays are built from flat
+and one batch union-find (``_roots``).  CSR arrays are built from flat
 integer arrays or other CSRs (``_underlying_csr``), never from tuples.
 
 Public constructors check their input: every endpoint must be in range.
@@ -157,19 +157,23 @@ def _underlying_csr(g: "DiGraph"):
     return start, dst, ids
 
 
-def _find(parent: list[int], x: int) -> int:
-    """Root of x in the union-find forest ``parent`` (path halving)."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _union(parent: list[int], x: int, y: int) -> None:
-    """Join the sets of x and y; the root of x's set stays the root."""
-    rx, ry = _find(parent, x), _find(parent, y)
-    if rx != ry:
-        parent[ry] = rx
+def _roots(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """The root of each of 0..n-1 after joining the sets of x and y for
+    each pair (x, y) in turn, in a union-find forest with path halving;
+    the root of x's set stays the root of the joined set."""
+    parent = list(range(n))
+    for x, y in pairs:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        parent[y] = x
+    for v in range(n):
+        r = parent[v]
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        parent[v] = r
+    return parent
 
 
 class DiGraph:

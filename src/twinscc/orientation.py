@@ -1,7 +1,7 @@
 """Orientation blocks of mixed graphs.
 
 Strongly orientable blocks are computed without a reduction: one SCC pass
-on the directed edges between the classes that undirected edges join, and
+on the distinct arcs between the classes that undirected edges join, and
 one 2ecc pass on the undirected edges between the classes that directed
 edges inside an SCC join (see ``strongly_orientable_blocks``).  That is
 what the TSCCs of the split-and-twin reduction below give on the original
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import DiGraph, GraphError, MixedGraph, Partition, UGraph, _find, _union
+from .graph import DiGraph, GraphError, MixedGraph, Partition, UGraph, _roots
 from .strong import scc
 from .undirected import bridges_2ecc
 from .pipeline import two_etscc
@@ -89,11 +89,8 @@ def split_and_gadget(g: MixedGraph) -> ReducedGraph:
 def _classes(n: int, pairs) -> tuple[list[int], int]:
     """The class of each vertex when ``pairs`` join their ends, numbered
     0, 1, ... by smallest member, and the number of classes."""
-    parent = list(range(n))
-    for x, y in pairs:
-        _union(parent, x, y)
     dense: dict[int, int] = {}
-    return [dense.setdefault(_find(parent, v), len(dense)) for v in range(n)], len(dense)
+    return [dense.setdefault(r, len(dense)) for r in _roots(n, pairs)], len(dense)
 
 
 def strongly_orientable_blocks(g: MixedGraph) -> Partition:
@@ -119,18 +116,21 @@ def strongly_orientable_blocks(g: MixedGraph) -> Partition:
     (1) Each undirected edge is a 2-cycle of D, so each class of vertices
     joined by undirected edges is strongly connected in D.  Contracting a
     strongly connected set keeps the SCCs, so the one ``scc`` pass runs on
-    the classes and the directed edges between them.  Every undirected
-    edge then lies inside an SCC.  (2) A directed edge (x, y) whose ends
-    share an SCC has a simple path from y to x in D, which is a path of H
-    avoiding (x, y): the edge lies on a cycle of H.  Contracting an edge e
-    on a cycle keeps the bridges: a cycle of H/e through an edge f other
-    than e lifts to a cycle of H through f, or to a path between e's ends
-    that closes one with e.  The 2ecc classes are the components without
-    the bridges, so they lift too.  After contracting every such edge, H
-    is the undirected edges between the new classes, loops dropped.
+    the classes and the distinct arcs that directed edges give between
+    two of them: loops and parallel arcs never change the SCCs.  Every
+    undirected edge then lies inside an SCC.  (2) A directed edge (x, y)
+    whose ends share an SCC has a simple path from y to x in D, which is
+    a path of H avoiding (x, y): the edge lies on a cycle of H.
+    Contracting an edge e on a cycle keeps the bridges: a cycle of H/e
+    through an edge f other than e lifts to a cycle of H through f, or to
+    a path between e's ends that closes one with e.  The 2ecc classes are
+    the components without the bridges, so they lift too.  After
+    contracting every such edge, H is the undirected edges between the
+    new classes, loops dropped.
     """
     ucls, k = _classes(g.n, g.undirected)
-    comp = scc(DiGraph._trusted(k, tuple((ucls[x], ucls[y]) for x, y in g.directed))).comp_of
+    arcs = {(ucls[x], ucls[y]) for x, y in g.directed}
+    comp = scc(DiGraph._trusted(k, tuple(a for a in arcs if a[0] != a[1]))).comp_of
     inner = (e for e in g.directed if comp[ucls[e[0]]] == comp[ucls[e[1]]])
     cls, k = _classes(g.n, inner)
     h = tuple((cls[x], cls[y]) for x, y in g.undirected if cls[x] != cls[y])

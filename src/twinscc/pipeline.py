@@ -39,9 +39,8 @@ from .graph import (
     Partition,
     PreconditionError,
     UGraph,
-    _find,
+    _roots,
     _underlying_csr,
-    _union,
 )
 from .undirected import Cactus, _between, _bridges_2ecc, _cactus, _three_ecc_classes
 from .dominators import _find_bridges, _strongly_connected, flow_bridges, strong_bridges
@@ -84,11 +83,9 @@ def _cut_cycle_partition(cactus: Cactus, es) -> Partition:
     twinless strong bridge but not in the strong bridges ``es``; the
     pieces left, mapped back through ``phi``, partition the vertices."""
     drop = {c for _, _, c, o in cactus.edges if o >= 0 and o not in es}
-    parent = list(range(cactus.node_count))
-    for a, b, cycle_id, _ in cactus.edges:
-        if cycle_id not in drop:
-            _union(parent, a, b)
-    return Partition._grouped(enumerate(_find(parent, c) for c in cactus.phi))
+    joins = ((a, b) for a, b, cycle_id, _ in cactus.edges if cycle_id not in drop)
+    root = _roots(cactus.node_count, joins)
+    return Partition._grouped(enumerate(root[c] for c in cactus.phi))
 
 
 def partition_strong_bridges(h: AuxGraph) -> Partition:
@@ -108,14 +105,12 @@ def partition_strong_bridges(h: AuxGraph) -> Partition:
     sbs = _lone_edges(d)
     if not sbs:
         return Partition._trusted([tuple(sorted(h.oo))])
-    parent = list(range(d.n))
-    xe_verts = set()
+    joins, xe_verts = [], set()
     for e in sbs:
         members = sorted(local[v] for v in classify_xe(h, e).members)
         xe_verts.update(members)
-        for v in members[1:]:
-            _union(parent, members[0], v)
-    root = [_find(parent, v) for v in range(d.n)]
+        joins += ((members[0], v) for v in members[1:])
+    root = _roots(d.n, joins)
     marked = sorted({root[v] for v in xe_verts})
 
     # each pair of the simple underlying graph once, through the

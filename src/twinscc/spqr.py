@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Partition, PreconditionError, UGraph, _find, _union
+from .graph import Partition, PreconditionError, UGraph, _roots
 from .undirected import _biconnected
 
 Tag = tuple[str, int]  # ("real", edge id) | ("virtual", pair id)
@@ -475,7 +475,7 @@ def _triconnected_components(
                     home[e - m0] = k
                 else:
                     twin[e - m0] = k
-    root = list(range(len(members)))
+    joins = []
     dropped = bytearray(m_all)
     for e in range(m0, m_all):
         a, b = home[e - m0], twin[e - m0]
@@ -483,10 +483,10 @@ def _triconnected_components(
             raise AssertionError("virtual edge not in two split components")
         if kinds[a] == kinds[b] and kinds[a] in "SP":
             dropped[e] = 1
-            _union(root, a, b)
+            joins.append((a, b))
     merged: dict[int, list[int]] = {}
-    for k, comp in enumerate(members):
-        merged.setdefault(_find(root, k), []).extend(e for e in comp if not dropped[e])
+    for r, comp in zip(_roots(len(members), joins), members):
+        merged.setdefault(r, []).extend(e for e in comp if not dropped[e])
     out_kinds = [kinds[k] for k in merged]
     out_members = list(merged.values())
     return out_kinds, out_members, [orig[x] for x in src], [orig[x] for x in dst]
@@ -522,8 +522,10 @@ def spqr(g: UGraph) -> SpqrTree:
 
     Accepts two-vertex bonds (P node) and, degenerately, a single edge
     (lone Q node).  Rejects graphs that are not biconnected.  Nodes are
-    sorted by kind, then by their edges with virtual-pair ids left out;
-    pair ids are then numbered in order of first appearance.
+    sorted by kind, then by their edges with virtual-pair ids left out.
+    Within a node, virtual edges with equal ends go by the key of the node
+    across each, so the tree does not depend on how the builder numbers
+    them; pair ids are then numbered in order of first appearance.
     """
     if g.n < 2 or g.m == 0:
         raise PreconditionError("spqr requires at least one edge on two vertices")
@@ -540,29 +542,31 @@ def spqr(g: UGraph) -> SpqrTree:
             a, b = b, a
         return (a, b, "real", blk[e]) if e < m0 else (a, b, "virtual", -1)
 
-    keyed = []
-    for kind, comp in zip(kinds, members):
-        pairs = sorted((key_edge(e), e) for e in comp)
-        keyed.append(((kind, tuple(k for k, _ in pairs)), [e for _, e in pairs]))
-    keyed.sort(key=lambda item: item[0])
+    keys = [(kind, tuple(sorted(map(key_edge, comp)))) for kind, comp in zip(kinds, members)]
+    keys, members = zip(*sorted(zip(keys, members), key=lambda item: item[0]))
+    at: dict[int, list[int]] = {}  # the two nodes that hold each virtual edge
+    for i, comp in enumerate(members):
+        for e in comp:
+            if e >= m0:
+                at.setdefault(e, []).append(i)
+    if any(len(ks) != 2 for ks in at.values()):
+        raise AssertionError("virtual pair does not appear exactly twice")
+
+    def edge_order(i: int, e: int):
+        # virtual edges with equal ends go by the key of the node across
+        return key_edge(e), keys[sum(at[e]) - i] if e >= m0 else (), e
 
     pid: dict[int, int] = {}
     nodes = []
-    where: dict[int, list[int]] = {}
-    for idx, ((kind, keys), order) in enumerate(keyed):
+    for i, ((kind, _), comp) in enumerate(zip(keys, members)):
         edges = []
-        for (a, b, tk, tid), e in zip(keys, order):
+        for e in sorted(comp, key=lambda e: edge_order(i, e)):
+            a, b, tk, tid = key_edge(e)
             if tk == "virtual":
                 tid = pid.setdefault(e, len(pid))
-                where.setdefault(tid, []).append(idx)
             edges.append((a, b, (tk, tid)))
         nodes.append(SpqrNode(kind, tuple(sorted(edges))))
-    links = []
-    for p, at in sorted(where.items()):
-        if len(at) != 2:
-            raise AssertionError("virtual pair does not appear exactly twice")
-        links.append((min(at), max(at), p))
-    return SpqrTree(tuple(nodes), tuple(sorted(links)))
+    return SpqrTree(tuple(nodes), tuple(sorted((*at[e], p) for e, p in pid.items())))
 
 
 def marked_veb(g: UGraph, marked: Iterable[int]) -> Partition:
@@ -596,19 +600,18 @@ def marked_veb(g: UGraph, marked: Iterable[int]) -> Partition:
         is_marked[v] = 1
 
     # elements: the vertices, then one per virtual edge of each block
-    parent = list(range(g.n))
+    size, joins = g.n, []
     gedges = g.edges
     for blk in bf.blocks:
         if len(blk) == 1 and marked_set:
             continue
         if not any(is_marked[v] for eid in blk for v in gedges[eid]):
-            for eid in blk:
-                _union(parent, *gedges[eid])
+            joins += (gedges[eid] for eid in blk)
             continue
         kinds, members, src, dst = _block_components(g, blk, dfs)
         m0 = len(blk)
-        base = len(parent) - m0
-        parent.extend(range(len(parent), base + len(src)))
+        base = size - m0
+        size = base + len(src)
         for kind, comp in zip(kinds, members):
             active = kind == "S" and any(e < m0 for e in comp) and any(
                 is_marked[src[e]] or is_marked[dst[e]] for e in comp
@@ -618,7 +621,7 @@ def marked_veb(g: UGraph, marked: Iterable[int]) -> Partition:
                     if e >= m0:
                         for x in (src[e], dst[e]):
                             if not is_marked[x]:
-                                _union(parent, base + e, x)
+                                joins.append((base + e, x))
                 continue
             rep = -1
             for e in comp:
@@ -627,14 +630,12 @@ def marked_veb(g: UGraph, marked: Iterable[int]) -> Partition:
                         if rep < 0:
                             rep = x
                         else:
-                            _union(parent, rep, x)
+                            joins.append((rep, x))
                 if e >= m0:
                     if rep < 0:
                         rep = base + e
                     else:
-                        _union(parent, rep, base + e)
+                        joins.append((rep, base + e))
 
-    return Partition._grouped(
-        (v, _find(parent, v)) for v in range(g.n) if not is_marked[v]
-    )
-
+    root = _roots(size, joins)
+    return Partition._grouped((v, root[v]) for v in range(g.n) if not is_marked[v])

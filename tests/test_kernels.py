@@ -1,5 +1,6 @@
 """Shared graph kernels: every module stays iterative, union-find lives in
-one place, and the one CSR depth-first search handles deep inputs."""
+one place and matches a search on seeded pair lists, and the one CSR
+depth-first search handles deep inputs."""
 
 from __future__ import annotations
 
@@ -8,11 +9,12 @@ import importlib
 import inspect
 import pathlib
 import pkgutil
+import random
 import sys
 
 import twinscc
 from twinscc.dominators import dominator_tree
-from twinscc.graph import DiGraph, Partition, UGraph
+from twinscc.graph import DiGraph, Partition, UGraph, _roots
 from twinscc.undirected import (
     biconnected,
     bridges_2ecc,
@@ -42,7 +44,7 @@ def test_no_module_has_a_recursive_function():
 
 
 def test_no_nested_find_outside_oracles():
-    # the fast path shares graph._find; the oracles keep their own code
+    # the fast path shares graph._roots; the oracles keep their own code
     for name, tree in _module_trees():
         if name == "oracles":
             continue
@@ -54,6 +56,47 @@ def test_no_nested_find_outside_oracles():
                     if f is not fn and isinstance(f, ast.FunctionDef)
                 ]
                 assert "find" not in nested, (name, fn.name)
+
+
+def _halving_functions(tree) -> set[str]:
+    # functions with a path-halving step: inside a while loop, an
+    # assignment p[...] = p[p[...]] (a chained target counts too)
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for loop in ast.walk(fn):
+            if not isinstance(loop, ast.While):
+                continue
+            for node in ast.walk(loop):
+                if not isinstance(node, ast.Assign):
+                    continue
+                v = node.value
+                if not (
+                    isinstance(v, ast.Subscript)
+                    and isinstance(v.value, ast.Name)
+                    and isinstance(v.slice, ast.Subscript)
+                    and isinstance(v.slice.value, ast.Name)
+                    and v.slice.value.id == v.value.id
+                ):
+                    continue
+                if any(
+                    isinstance(t, ast.Subscript)
+                    and isinstance(t.value, ast.Name)
+                    and t.value.id == v.value.id
+                    for t in node.targets
+                ):
+                    found.add(fn.name)
+    return found
+
+
+def test_path_halving_only_in_the_union_find_kernel():
+    # the fast path's one union-find is graph._roots; the oracles keep
+    # their own
+    trees = dict(_module_trees())
+    assert _halving_functions(trees.pop("oracles"))  # the walk sees halving
+    found = {(name, fn) for name, tree in trees.items() for fn in _halving_functions(tree)}
+    assert found == {("graph", "_roots")}
 
 
 def test_no_fast_path_module_imports_random():
@@ -221,3 +264,61 @@ def test_shared_dfs_deep_ladder():
     dt = dominator_tree(DiGraph(N, arcs), 0)
     assert dt.idom == (-1,) + (0,) * (N - 1)
 
+
+
+def _components_by_search(n: int, pairs) -> list[int]:
+    # the smallest vertex of each vertex's component, by breadth-first search
+    adj = [[] for _ in range(n)]
+    for x, y in pairs:
+        adj[x].append(y)
+        adj[y].append(x)
+    comp = [-1] * n
+    for s in range(n):
+        if comp[s] == -1:
+            comp[s] = s
+            queue = [s]
+            for v in queue:
+                for w in adj[v]:
+                    if comp[w] == -1:
+                        comp[w] = s
+                        queue.append(w)
+    return comp
+
+
+def _roots_by_relabelling(n: int, pairs) -> list[int]:
+    # joining x's set and y's set relabels y's set with x's label
+    label = list(range(n))
+    for x, y in pairs:
+        lx, ly = label[x], label[y]
+        label = [lx if lab == ly else lab for lab in label]
+    return label
+
+
+def test_roots_match_a_search_on_seeded_pairs():
+    rng = random.Random(7)
+    assert _roots(0, []) == [] and _roots(1, [(0, 0), (0, 0)]) == [0]
+    for _ in range(400):
+        n = rng.randrange(1, 30)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(2 * n))]
+        pairs += [(v, v) for v in rng.sample(range(n), rng.randrange(min(n, 4)))]
+        pairs += rng.sample(pairs, len(pairs) // 3)  # repeated pairs
+        rng.shuffle(pairs)
+        root = _roots(n, pairs)
+        comp = _components_by_search(n, pairs)
+        first = {}  # the same root exactly for the same component
+        assert [first.setdefault(comp[v], root[v]) for v in range(n)] == root
+        assert root == _roots_by_relabelling(n, pairs)
+
+
+def test_roots_keep_the_root_of_xs_set():
+    assert _roots(3, [(2, 0)]) == [2, 1, 2]
+    assert _roots(4, [(1, 0), (3, 2), (3, 1)]) == [3, 3, 3, 3]
+    assert _roots(4, [(1, 0), (3, 2), (0, 2)]) == [1, 1, 1, 1]
+
+
+def test_roots_deep_chain_joined_in_reverse():
+    # each join hangs the chain built so far under a new root: a path of
+    # N vertices that the final pass must walk without recursion
+    limit = sys.getrecursionlimit()
+    assert _roots(N, [(i, i + 1) for i in reversed(range(N - 1))]) == [0] * N
+    assert sys.getrecursionlimit() == limit

@@ -468,8 +468,9 @@ def test_orientable_blocks_contraction_shapes_vs_reduction(shape):
 
 
 def test_orientable_blocks_work_on_contracted_graphs(calls):
-    # counts work: one scc pass over the directed edges between the classes
-    # of undirected edges, one bridge pass over at most the undirected edges
+    # counts work: one scc pass over the distinct arcs that directed edges
+    # give between two classes of undirected edges, one bridge pass over at
+    # most the undirected edges
     rng = random.Random(5)
     g = _with_antiparallel(_decorated(oracles.gen_mixed(1000, 2000, 2000, rng), rng), rng)
     calls.watch("scc", orientation)
@@ -478,7 +479,14 @@ def test_orientable_blocks_work_on_contracted_graphs(calls):
     assert calls == {"scc": 1, "bridges_2ecc": 1}
     ((d,),), ((h,),) = calls.args["scc"], calls.args["bridges_2ecc"]
     classes = connected_components(UGraph(g.n, g.undirected))
-    assert d.m == len(g.directed) and d.n <= len(classes) < g.n
+    assert d.n == len(classes) < g.n
+    cls = [0] * g.n
+    for i, block in enumerate(classes):
+        for v in block:
+            cls[v] = i
+    # the classes are numbered by smallest member, as the blocks are
+    arcs = {(cls[x], cls[y]) for x, y in g.directed if cls[x] != cls[y]}
+    assert sorted(d.edges) == sorted(arcs) and d.m < len(g.directed)
     assert h.m <= len(g.undirected)
 
 

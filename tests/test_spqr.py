@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import random
 import sys
 import time
@@ -359,3 +360,36 @@ def test_spqr_node_order_ignores_pair_ids():
             if tk == "virtual" and tid not in seen:
                 seen.append(tid)
     assert seen == list(range(len(seen)))
+
+
+def test_spqr_ignores_the_builders_virtual_edge_numbering(monkeypatch):
+    # a bond with several S or R neighbours holds virtual edges with equal
+    # ends; their pair ids must follow the nodes across them, not the ids
+    # and order in which the builder made them
+    spqr_module = importlib.import_module("twinscc.spqr")  # the package's spqr is the function
+    build = spqr_module._triconnected_components
+    shuffle = random.Random(3)
+
+    def renumbered(n, src, dst):
+        m0 = len(src)
+        kinds, members, src, dst = build(n, src, dst)
+        perm = list(range(m0, len(src)))
+        shuffle.shuffle(perm)
+        new = list(range(m0)) + perm
+        src2, dst2 = src[:m0] + [0] * len(perm), dst[:m0] + [0] * len(perm)
+        for e in range(m0, len(src)):
+            src2[new[e]], dst2[new[e]] = src[e], dst[e]
+        nodes = [(k, shuffle.sample([new[e] for e in c], len(c))) for k, c in zip(kinds, members)]
+        shuffle.shuffle(nodes)
+        return [k for k, _ in nodes], [c for _, c in nodes], src2, dst2
+
+    rng = random.Random(11)
+    graphs = [_gen_block(rng, rng.randrange(3, 30)) for _ in range(150)]
+    for _ in range(150):
+        g = oracles.gen_biconnected(rng.randrange(2, 9), rng.randrange(2, 14), rng)
+        graphs.append(UGraph(g.n, list(g.edges) + rng.sample(g.edges, rng.randrange(g.m))))
+    want = [spqr(g) for g in graphs]
+    monkeypatch.setattr(spqr_module, "_triconnected_components", renumbered)
+    assert [spqr(g) for g in graphs] == want
+    tied = [t for t in want if any(nd.kind == "P" and len(nd.edges) > 3 for nd in t.nodes)]
+    assert len(tied) > 20  # many inputs have a bond with several neighbours
